@@ -13,8 +13,6 @@ int main() {
   const auto spec = gpusim::DeviceSpec::rtx3090();
   const LaunchSelector sel = make_selector(spec);
   gpusim::SimDevice dev(spec);
-  PipelineExecutor exec(dev, &sel);
-  PipelineExecutor static_exec(dev, nullptr);
 
   std::printf("\nAblation — end-to-end MTTKRP time in us (rank %u)\n\n",
               kRank);
@@ -38,11 +36,11 @@ int main() {
     hybrid.hybrid_cpu_threshold = auto_hybrid_threshold(
         x, 0, kRank, hybrid.cpu_spec, gpusim::transfer_ns(spec, x.bytes()) / 2);
 
-    const auto r_full = exec.run(x, f, 0, full);
-    const auto r_static = static_exec.run(x, f, 0, full);
-    const auto r_noshm = exec.run(x, f, 0, no_shared);
-    const auto r_nopipe = exec.run(x, f, 0, no_pipe);
-    const auto r_hybrid = exec.run(x, f, 0, hybrid);
+    const auto r_full = run_pipeline(dev, x, f, 0, full, &sel);
+    const auto r_static = run_pipeline(dev, x, f, 0, full);
+    const auto r_noshm = run_pipeline(dev, x, f, 0, no_shared, &sel);
+    const auto r_nopipe = run_pipeline(dev, x, f, 0, no_pipe, &sel);
+    const auto r_hybrid = run_pipeline(dev, x, f, 0, hybrid, &sel);
     const auto r_parti = parti::run_mttkrp(dev, x, f, 0);
 
     t.add_row({name, us(r_full.total_ns), us(r_static.total_ns),

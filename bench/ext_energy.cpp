@@ -15,7 +15,6 @@ int main() {
   const auto spec = gpusim::DeviceSpec::rtx3090();
   const LaunchSelector sel = make_selector(spec);
   gpusim::SimDevice dev(spec);
-  PipelineExecutor exec(dev, &sel);
   const gpusim::PowerModel pm = gpusim::PowerModel::rtx3090();
 
   std::printf(
@@ -32,7 +31,7 @@ int main() {
 
     parti::run_mttkrp(dev, x, f, 0);
     const auto e_base = gpusim::estimate_energy(dev, pm);
-    exec.run(x, f, 0);
+    run_pipeline(dev, x, f, 0, {}, &sel);
     const auto e_ours = gpusim::estimate_energy(dev, pm);
 
     const double base_mj = e_base.total_j() * 1e3;

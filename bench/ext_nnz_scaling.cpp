@@ -15,7 +15,6 @@ int main() {
   const auto spec = gpusim::DeviceSpec::rtx3090();
   const LaunchSelector sel = make_selector(spec);
   gpusim::SimDevice dev(spec);
-  PipelineExecutor exec(dev, &sel);
 
   std::printf("\nnnz scaling — nell-2 profile, rank %u\n\n", kRank);
   obs::BenchRunner runner("ext_nnz_scaling");
@@ -28,7 +27,7 @@ int main() {
     const auto f = random_factors(x, kRank, 52);
 
     const auto base = parti::run_mttkrp(dev, x, f, 0);
-    const auto ours = exec.run(x, f, 0);
+    const auto ours = run_pipeline(dev, x, f, 0, {}, &sel);
     const std::string util = gpusim::utilization_summary(dev);
 
     t.add_row({"1/" + std::to_string(denom), human_count(x.nnz()),

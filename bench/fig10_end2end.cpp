@@ -18,7 +18,6 @@ int main() {
   const auto spec = gpusim::DeviceSpec::rtx3090();
   const LaunchSelector sel = make_selector(spec);
   gpusim::SimDevice dev(spec);
-  PipelineExecutor exec(dev, &sel);
   obs::BenchRunner runner("fig10_end2end");
 
   std::printf(
@@ -34,7 +33,7 @@ int main() {
     const auto f = random_factors(x, kRank, 9);
 
     const auto base = parti::run_mttkrp(dev, x, f, 0);
-    const auto ours = exec.run(x, f, 0);
+    const auto ours = run_pipeline(dev, x, f, 0, {}, &sel);
 
     // Prepare phase: one fully sorted copy per mode (what planning used
     // to keep) vs the single-sort permutation views. Wall times are

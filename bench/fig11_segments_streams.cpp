@@ -16,7 +16,6 @@ int main() {
   const auto spec = gpusim::DeviceSpec::rtx3090();
   const LaunchSelector sel = make_selector(spec);
   gpusim::SimDevice dev(spec);
-  PipelineExecutor exec(dev, &sel);
   obs::BenchRunner runner("fig11_segments_streams");
 
   const int values[] = {1, 2, 4, 8, 16};
@@ -36,7 +35,7 @@ int main() {
       ExecConfig opt;
       opt.num_segments = segs;
       opt.num_streams = 4;
-      const sim_ns ns = exec.run(x, f, 0, opt).total_ns;
+      const sim_ns ns = run_pipeline(dev, x, f, 0, opt, &sel).total_ns;
       row.push_back(us(ns));
       c.set("segments_" + std::to_string(segs) + "_us", us_val(ns), "us",
             obs::Direction::kLowerIsBetter);
@@ -50,7 +49,7 @@ int main() {
       ExecConfig opt;
       opt.num_segments = 4;
       opt.num_streams = streams;
-      const sim_ns ns = exec.run(x, f, 0, opt).total_ns;
+      const sim_ns ns = run_pipeline(dev, x, f, 0, opt, &sel).total_ns;
       row.push_back(us(ns));
       c.set("streams_" + std::to_string(streams) + "_us", us_val(ns), "us",
             obs::Direction::kLowerIsBetter);

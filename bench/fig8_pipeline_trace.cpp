@@ -28,14 +28,13 @@ int main(int argc, char** argv) {
   const auto spec = gpusim::DeviceSpec::rtx3090();
   const LaunchSelector sel = make_selector(spec);
   gpusim::SimDevice dev(spec);
-  PipelineExecutor exec(dev, &sel);
 
   const CooTensor x = make_frostt_tensor("nell-2");
   const auto f = random_factors(x, kRank, 21);
   ExecConfig opt;
   opt.num_segments = 4;  // the paper's canonical diagram shows 4
   opt.num_streams = 4;
-  const auto res = exec.run(x, f, 0, opt);
+  const auto res = run_pipeline(dev, x, f, 0, opt, &sel);
 
   std::printf(
       "\nFigure 8 — pipeline timeline for nell-2 (4 segments, 4 streams, "

@@ -18,7 +18,6 @@ int main() {
   const auto spec = gpusim::DeviceSpec::rtx3090();
   const LaunchSelector sel = make_selector(spec);
   gpusim::SimDevice dev(spec);
-  PipelineExecutor exec(dev, &sel);
   obs::BenchRunner runner("fig9_kernel_perf");
   ExecConfig kernel_only;  // one segment isolates kernel behaviour
   kernel_only.num_segments = 1;
@@ -42,7 +41,7 @@ int main() {
     const std::uint64_t flops = mttkrp_flops(x, kRank);
 
     const auto base = parti::run_mttkrp(dev, x, f, 0);
-    const auto ours = exec.run(x, f, 0, kernel_only);
+    const auto ours = run_pipeline(dev, x, f, 0, kernel_only, &sel);
 
     // CSF tiled under the SAME adaptive launch: the joint heuristic
     // picks the schedule, the cost model prices the tree walk.

@@ -36,8 +36,8 @@ int main() {
     f.randomize(rng);
     factors.push_back(std::move(f));
   }
-  PipelineExecutor exec(dev, &selector);
-  const PipelineResult r = exec.run(x, factors, /*mode=*/0);
+  const PipelineResult r =
+      run_pipeline(dev, x, factors, /*mode=*/0, {}, &selector);
   std::printf(
       "MTTKRP: %.1f us simulated (%zu segments, launch %s, overlap saved "
       "%.1f us)\n",

@@ -120,7 +120,6 @@ int cmd_mttkrp(const Args& a) {
     AutoTuner tuner(dev.spec(), {.rank = rank});
     tuner.train();
     const LaunchSelector sel = tuner.selector();
-    PipelineExecutor exec(dev, &sel);
     ExecConfig opt;
     const std::string segs = a.get("segments", "auto");
     opt.num_segments = segs == "auto" ? 0 : std::stoi(segs);
@@ -129,7 +128,7 @@ int cmd_mttkrp(const Args& a) {
     opt.adaptive_launch = !a.has("no-adaptive");
     opt.hybrid_cpu_threshold =
         static_cast<nnz_t>(a.get_long("hybrid", 0));
-    const auto r = exec.run(t, factors, mode, opt);
+    const auto r = run_pipeline(dev, t, factors, mode, opt, &sel);
     std::printf("ScalFrag MTTKRP: %.1f us simulated (%zu segments, overlap "
                 "saved %.1f us, selection %.0f us host)\n",
                 r.total_ns / 1e3, r.plan.size(),

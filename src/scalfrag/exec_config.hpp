@@ -3,11 +3,11 @@
 // driver in the repository.
 //
 // Historically each layer grew its own options struct (PipelineOptions,
-// HostExecOptions, ScalFragKernelOptions, plus CpdOptions/TuckerOptions
-// nesting copies of them). ExecConfig subsumes all of them: one
-// builder-style value that `run_pipeline`, `run_hybrid` (the pipeline's
-// hybrid split), `cpd_als`, `tucker_hooi`, and the multi-device
-// executor all accept.
+// since deleted, HostExecOptions, ScalFragKernelOptions, plus
+// CpdOptions/TuckerOptions nesting copies of them). ExecConfig subsumes
+// all of them: one builder-style value that `run_pipeline`,
+// `run_hybrid` (the pipeline's hybrid split), `cpd_als`, `tucker_hooi`,
+// and the multi-device executor all accept.
 //
 //   auto cfg = scalfrag::ExecConfig{}
 //                  .devices(4)
@@ -17,8 +17,9 @@
 //
 // Fields stay public (aggregate-style reads everywhere in the
 // executors); the fluent setters exist so configs compose in one
-// expression. The legacy structs survive only as [[deprecated]] shims
-// that convert to ExecConfig — see docs/api.md for the migration map.
+// expression. The remaining legacy structs survive only as
+// [[deprecated]] shims that convert to ExecConfig — see docs/api.md for
+// the migration map.
 
 #include <optional>
 #include <string>
@@ -79,12 +80,6 @@ struct ExecConfig {
   bool adaptive_launch = true;
   /// Force a specific launch config (overrides adaptive/static choice).
   std::optional<gpusim::LaunchConfig> launch_override;
-  /// Precomputed per-segment launches (from MttkrpPlan); entry i is
-  /// used for *realized* segment i and takes precedence over everything
-  /// above. A schedule shorter than the realized plan is a prefix
-  /// override; a schedule *longer* than the realized plan is rejected —
-  /// size schedules from the realized plan, not from num_segments.
-  std::vector<gpusim::LaunchConfig> launch_schedule;
 
   // --- CPU–GPU hybrid --------------------------------------------------
   /// Slice-nnz threshold below which work routes to the CPU (0 = off).
@@ -181,10 +176,6 @@ struct ExecConfig {
   ExecConfig& adaptive(bool on) { adaptive_launch = on; return *this; }
   ExecConfig& launch(const gpusim::LaunchConfig& c) {
     launch_override = c;
-    return *this;
-  }
-  ExecConfig& schedule(std::vector<gpusim::LaunchConfig> s) {
-    launch_schedule = std::move(s);
     return *this;
   }
   ExecConfig& hybrid_threshold(nnz_t t) {

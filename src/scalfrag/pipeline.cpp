@@ -60,13 +60,98 @@ gpusim::StreamId PipelineExecutor::stream(int i) {
   return pool_[i];
 }
 
-PipelineResult PipelineExecutor::run(const CooSpan& t,
-                                     const FactorList& factors, order_t mode,
-                                     const ExecConfig& opt) {
-  const index_t rank = check_factors(t, factors);
+PipelinePlan make_pipeline_plan(const gpusim::SimDevice& dev,
+                                const CooSpan& t, order_t mode,
+                                index_t rank, const ExecConfig& cfg,
+                                const LaunchSelector* selector) {
+  SF_CHECK(rank > 0, "rank must be positive");
   SF_CHECK(t.is_sorted_by_mode(mode), "pipeline requires mode-sorted input");
   // Sortedness is established once; the hinted copy makes every
   // downstream check (segmenter, features, partitioner) O(1).
+  CooSpan view = t;
+  view.assume_sorted_by(mode);
+  cfg.validate();
+  SF_CHECK(cfg.num_devices == 1,
+           "pipeline plans are single-device; use MultiPipelineExecutor "
+           "for ExecConfig::devices > 1");
+
+  obs::MetricsRegistry* const met = cfg.metrics_sink;
+  PipelinePlan plan;
+  plan.rank = rank;
+  plan.use_shared_mem = cfg.use_shared_mem;
+
+  // --- hybrid partition (optional) -----------------------------------
+  CooSpan gpu_view = view;
+  if (cfg.hybrid_cpu_threshold > 0) {
+    std::optional<obs::MetricsRegistry::ScopedSpan> span;
+    if (met != nullptr) span.emplace(*met, "host/partition");
+    plan.partition =
+        partition_for_hybrid(view, mode, cfg.hybrid_cpu_threshold);
+    gpu_view = plan.partition.gpu_view(view);
+    if (met != nullptr) {
+      met->count("pipeline/cpu_slices", plan.partition.cpu_slices);
+      met->count("pipeline/gpu_slices", plan.partition.gpu_slices);
+    }
+  } else {
+    plan.partition.gpu_whole = true;
+    plan.partition.gpu_nnz = view.nnz();
+  }
+
+  // --- segmentation ---------------------------------------------------
+  // Features ride along with the cuts (one fused pass); the whole-tensor
+  // profile for the auto rule is only extracted when actually needed.
+  int want_segments = cfg.num_segments;
+  {
+    std::optional<obs::MetricsRegistry::ScopedSpan> span;
+    if (met != nullptr) span.emplace(*met, "host/segmentation");
+    if (want_segments == 0) {
+      const TensorFeatures whole = TensorFeatures::extract(gpu_view, mode);
+      want_segments =
+          auto_segment_count(dev, gpu_view, mode, rank, cfg, &whole);
+    }
+    plan.segments = make_segments(gpu_view, mode, want_segments,
+                                  /*align_to_slices=*/true,
+                                  /*with_features=*/true);
+  }
+
+  // --- launch selection -------------------------------------------------
+  plan.launches.reserve(plan.segments.size());
+  for (std::size_t i = 0; i < plan.segments.size(); ++i) {
+    const Segment& seg = plan.segments.segments[i];
+    gpusim::LaunchConfig launch;
+    if (seg.nnz() == 0) {
+      plan.launches.push_back(launch);
+      continue;
+    }
+    if (cfg.launch_override) {
+      launch = *cfg.launch_override;
+    } else if (cfg.adaptive_launch && selector != nullptr) {
+      const Selection sel = selector->select(plan.segments.features[i]);
+      launch = sel.config;
+      plan.selection_seconds += sel.inference_seconds;
+    } else {
+      launch = parti::default_launch(dev.spec(), seg.nnz());
+    }
+    if (cfg.use_shared_mem) {
+      launch.shmem_per_block = kernel_shmem_bytes(launch.block, rank);
+    }
+    plan.launches.push_back(launch);
+  }
+  if (met != nullptr) {
+    met->count("pipeline/segments_requested",
+               static_cast<std::uint64_t>(want_segments));
+    met->set("pipeline/selection_seconds", plan.selection_seconds);
+  }
+  return plan;
+}
+
+PipelineResult PipelineExecutor::run(const PipelinePlan& plan,
+                                     const CooSpan& t,
+                                     const FactorList& factors,
+                                     const ExecConfig& opt) {
+  const order_t mode = plan.mode();
+  const index_t rank = check_factors(t, factors);
+  SF_CHECK(t.is_sorted_by_mode(mode), "pipeline requires mode-sorted input");
   CooSpan view = t;
   view.assume_sorted_by(mode);
   opt.validate();
@@ -77,63 +162,37 @@ PipelineResult PipelineExecutor::run(const CooSpan& t,
            "ExecConfig names backend \"" + opt.backend_name +
                "\" but was routed to the COO pipeline — dispatch through "
                "run_mttkrp_backend (scalfrag/backend_registry.hpp)");
+  // A plan is only valid for the view it was built from: one launch per
+  // realized segment, segments covering the GPU share, shares covering
+  // the view.
+  const nnz_t planned_gpu =
+      plan.segments.size() == 0 ? 0 : plan.segments.segments.back().end;
+  SF_CHECK(rank == plan.rank &&
+               plan.launches.size() == plan.segments.size() &&
+               planned_gpu == plan.partition.gpu_nnz &&
+               plan.partition.gpu_nnz + plan.partition.cpu_nnz == view.nnz(),
+           "pipeline plan does not match this replay: it needs one launch "
+           "per realized segment and the view and rank it was built for");
+  const CooSpan gpu_view = plan.partition.gpu_view(view);
+  const auto n_seg = static_cast<int>(plan.segments.size());
 
   PipelineResult res;
   res.output = DenseMatrix(t.dim(mode), rank);
+  res.plan = plan.segments;
+  res.launches = plan.launches;
+  res.cpu_nnz = plan.partition.cpu_nnz;
 
   obs::MetricsRegistry* const met = opt.metrics_sink;
   // The host engine inherits the pipeline's sink unless the caller
   // already pointed it somewhere else.
   const HostExecParams host_exec = opt.host_for_run();
-
-  // --- hybrid partition (optional) -----------------------------------
-  CooSpan gpu_view = view;
-  HybridPartition part;
-  if (opt.hybrid_cpu_threshold > 0) {
-    std::optional<obs::MetricsRegistry::ScopedSpan> span;
-    if (met != nullptr) span.emplace(*met, "host/partition");
-    part = partition_for_hybrid(view, mode, opt.hybrid_cpu_threshold);
-    if (!part.gpu_whole) gpu_view = part.gpu_view(view);
-    res.cpu_nnz = part.cpu_nnz;
-    if (met != nullptr) {
-      met->count("pipeline/cpu_slices", part.cpu_slices);
-      met->count("pipeline/gpu_slices", part.gpu_slices);
-      met->count("pipeline/cpu_nnz", part.cpu_nnz);
-    }
-  }
-
-  // --- segmentation ---------------------------------------------------
-  // Features ride along with the cuts (one fused pass); the whole-tensor
-  // profile for the auto rule is only extracted when actually needed.
-  int want_segments = opt.num_segments;
-  {
-    std::optional<obs::MetricsRegistry::ScopedSpan> span;
-    if (met != nullptr) span.emplace(*met, "host/segmentation");
-    if (want_segments == 0) {
-      const TensorFeatures whole = TensorFeatures::extract(gpu_view, mode);
-      want_segments =
-          auto_segment_count(*dev_, gpu_view, mode, rank, opt, &whole);
-    }
-    res.plan = make_segments(gpu_view, mode, want_segments,
-                             /*align_to_slices=*/true,
-                             /*with_features=*/true);
-  }
-  const auto n_seg = static_cast<int>(res.plan.size());
-  // Forward slice-snapping can realize *fewer* segments than requested.
-  // A schedule longer than the realized plan was sized against the
-  // requested count: dropping its tail would pair every remaining
-  // config with the wrong (larger) segment, so reject it outright. A
-  // shorter schedule stays a documented prefix override.
-  SF_CHECK(opt.launch_schedule.size() <= static_cast<std::size_t>(n_seg),
-           "launch_schedule has more entries than realized segments; "
-           "slice snapping realized fewer segments than requested — size "
-           "the schedule from the realized plan (see MttkrpPlan)");
   if (met != nullptr) {
     met->count("pipeline/runs");
-    met->count("pipeline/segments_requested",
-               static_cast<std::uint64_t>(want_segments));
     met->count("pipeline/segments_realized",
                static_cast<std::uint64_t>(n_seg));
+    if (plan.partition.threshold > 0) {
+      met->count("pipeline/cpu_nnz", res.cpu_nnz);
+    }
     met->count("pipeline/gpu_nnz", gpu_view.nnz());
   }
 
@@ -179,7 +238,7 @@ PipelineResult PipelineExecutor::run(const CooSpan& t,
     dev_->host_task(
         host_s, res.cpu_task_ns,
         [&] {
-          cpu_mttkrp_exec(view, part.cpu_ranges, factors, mode,
+          cpu_mttkrp_exec(view, plan.partition.cpu_ranges, factors, mode,
                           res.output, host_exec);
         },
         "CPU hybrid MTTKRP");
@@ -187,11 +246,8 @@ PipelineResult PipelineExecutor::run(const CooSpan& t,
 
   // --- segment pipeline ------------------------------------------------
   for (int i = 0; i < n_seg; ++i) {
-    const Segment& seg = res.plan.segments[i];
-    if (seg.nnz() == 0) {
-      res.launches.push_back({});
-      continue;
-    }
+    const Segment& seg = plan.segments.segments[i];
+    if (seg.nnz() == 0) continue;
     const gpusim::StreamId s = stream(i % opt.num_streams);
     // Zero-copy: the segment is a view into the parent's arrays (or,
     // under hybrid, a window of the GPU gather view), not an extracted
@@ -200,24 +256,9 @@ PipelineResult PipelineExecutor::run(const CooSpan& t,
     dev_->memcpy_h2d(s, segment.bytes(), nullptr,
                      "H2D segment " + std::to_string(i));
 
-    const TensorFeatures& feat = res.plan.features[i];
-    gpusim::LaunchConfig launch;
-    if (static_cast<std::size_t>(i) < opt.launch_schedule.size()) {
-      launch = opt.launch_schedule[i];
-    } else if (opt.launch_override) {
-      launch = *opt.launch_override;
-    } else if (opt.adaptive_launch && selector_ != nullptr) {
-      const Selection sel = selector_->select(feat);
-      launch = sel.config;
-      res.selection_seconds += sel.inference_seconds;
-    } else {
-      launch = parti::default_launch(dev_->spec(), segment.nnz());
-    }
-    if (opt.use_shared_mem) {
-      launch.shmem_per_block = kernel_shmem_bytes(launch.block, rank);
-    }
+    const TensorFeatures& feat = plan.segments.features[i];
     const gpusim::KernelProfile prof =
-        mttkrp_profile(feat, rank, opt.use_shared_mem);
+        mttkrp_profile(feat, rank, plan.use_shared_mem);
     // Hand the fused segment features to the host engine so strategy
     // selection is O(1) instead of re-probing the index array.
     HostExecParams kexec = host_exec;
@@ -225,10 +266,9 @@ PipelineResult PipelineExecutor::run(const CooSpan& t,
     // SimDevice runs functional bodies eagerly inside launch_kernel, so
     // capturing the loop-locals by reference is safe.
     dev_->launch_kernel(
-        s, launch, prof,
+        s, plan.launches[i], prof,
         [&] { mttkrp_exec(segment, factors, mode, res.output, kexec); },
         "ScalFrag kernel seg " + std::to_string(i));
-    res.launches.push_back(launch);
   }
 
   // --- gather results ---------------------------------------------------
@@ -242,12 +282,8 @@ PipelineResult PipelineExecutor::run(const CooSpan& t,
 
   res.total_ns = dev_->synchronize();
   res.breakdown = dev_->breakdown();
-  if (met != nullptr) {
-    gpusim::record_timeline(*dev_, *met, "gpu");
-    met->set("pipeline/selection_seconds", res.selection_seconds);
-  }
+  if (met != nullptr) gpusim::record_timeline(*dev_, *met, "gpu");
   res.info.backend = "coo";
-  res.info.prepare_seconds = res.selection_seconds;
   res.info.sim_total_ns = res.total_ns;
   return res;
 }
@@ -256,8 +292,13 @@ PipelineResult run_pipeline(gpusim::SimDevice& dev, const CooSpan& t,
                             const FactorList& factors, order_t mode,
                             const ExecConfig& cfg,
                             const LaunchSelector* selector) {
-  PipelineExecutor exec(dev, selector);
-  PipelineResult res = exec.run(t, factors, mode, cfg);
+  const index_t rank = check_factors(t, factors);
+  const PipelinePlan plan =
+      make_pipeline_plan(dev, t, mode, rank, cfg, selector);
+  PipelineExecutor exec(dev);
+  PipelineResult res = exec.run(plan, t, factors, cfg);
+  res.selection_seconds = plan.selection_seconds;
+  res.info.prepare_seconds = plan.selection_seconds;
   if (cfg.metrics_sink != nullptr) {
     res.info.metrics = cfg.metrics_sink->snapshot();
   }

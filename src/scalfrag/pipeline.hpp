@@ -7,11 +7,19 @@
 // configuration of every segment's kernel comes from the adaptive
 // selector.
 //
+// Planning and execution are split. make_pipeline_plan does everything
+// that depends only on the tensor — the hybrid partition, the
+// slice-aligned segmentation with per-segment features, and one final
+// launch per segment — and returns a PipelinePlan. PipelineExecutor::run
+// replays a plan: it never segments or selects. run_pipeline does both
+// for call sites that run once; MttkrpPlan keeps one PipelinePlan per
+// mode and replays it every iteration.
+//
 // Configuration is one ExecConfig (exec_config.hpp) shared with every
-// other driver. PipelineOptions survives below only as a deprecated
-// conversion shim.
-
-#include <optional>
+// other driver. Plan-time fields (segments, shared memory, launch
+// choice, hybrid threshold) are read by make_pipeline_plan; a replay
+// reads only the run-time fields (streams, CPU spec, host engine,
+// metrics sink).
 
 #include "gpusim/engine.hpp"
 #include "obs/metrics.hpp"
@@ -24,37 +32,34 @@
 
 namespace scalfrag {
 
-/// Legacy single-device pipeline options. Thin conversion shim: every
-/// field maps 1:1 onto ExecConfig (see docs/api.md). In-tree code must
-/// not use it — CI builds with -Werror=deprecated-declarations.
-struct [[deprecated("use scalfrag::ExecConfig (docs/api.md)")]]
-PipelineOptions {
-  int num_segments = 0;
-  int num_streams = 4;
-  bool use_shared_mem = true;
-  bool adaptive_launch = true;
-  std::optional<gpusim::LaunchConfig> launch_override;
-  std::vector<gpusim::LaunchConfig> launch_schedule;
-  nnz_t hybrid_cpu_threshold = 0;
-  gpusim::CpuSpec cpu = gpusim::CpuSpec::i7_11700k();
-  HostExecParams host_exec;
-  obs::MetricsRegistry* metrics = nullptr;
+/// Everything one single-device mode-`mode` MTTKRP decides before it
+/// touches a factor value. Valid only for the view it was built from.
+struct PipelinePlan {
+  index_t rank = 0;
+  bool use_shared_mem = true;  // sizes launches and kernel profiles
+  /// Hybrid CPU/GPU split of the view (gpu_whole when hybrid is off).
+  HybridPartition partition;
+  /// Slice-aligned cuts of the GPU share, with per-segment features.
+  SegmentPlan segments;
+  /// One final launch per segment (shared memory already sized; empty
+  /// segments get a zero launch and are skipped at replay).
+  std::vector<gpusim::LaunchConfig> launches;
+  double selection_seconds = 0.0;  // host time spent in the selector
 
-  operator ExecConfig() const {
-    ExecConfig cfg;
-    cfg.num_segments = num_segments;
-    cfg.num_streams = num_streams;
-    cfg.use_shared_mem = use_shared_mem;
-    cfg.adaptive_launch = adaptive_launch;
-    cfg.launch_override = launch_override;
-    cfg.launch_schedule = launch_schedule;
-    cfg.hybrid_cpu_threshold = hybrid_cpu_threshold;
-    cfg.cpu_spec = cpu;
-    cfg.host_exec = host_exec;
-    cfg.metrics_sink = metrics;
-    return cfg;
-  }
+  order_t mode() const noexcept { return segments.mode; }
 };
+
+/// Build the plan for a mode-`mode` MTTKRP of the mode-sorted view `t`
+/// at rank `rank`. Launch precedence per segment: cfg.launch_override,
+/// then the adaptive selector (when cfg.adaptive_launch and `selector`
+/// is non-null), then the ParTI-style static heuristic. Records the
+/// build-time metrics (host/partition, host/segmentation,
+/// pipeline/segments_requested, pipeline/selection_seconds) into
+/// cfg.metrics_sink.
+PipelinePlan make_pipeline_plan(const gpusim::SimDevice& dev,
+                                const CooSpan& t, order_t mode,
+                                index_t rank, const ExecConfig& cfg = {},
+                                const LaunchSelector* selector = nullptr);
 
 struct PipelineResult {
   DenseMatrix output;
@@ -63,7 +68,9 @@ struct PipelineResult {
 
   SegmentPlan plan;
   std::vector<gpusim::LaunchConfig> launches;  // one per segment
-  double selection_seconds = 0.0;  // host time spent in the selector
+  /// Host time spent in the selector: the plan's cost under
+  /// run_pipeline, 0 for a replay of a prebuilt plan.
+  double selection_seconds = 0.0;
   nnz_t cpu_nnz = 0;               // hybrid share
   sim_ns cpu_task_ns = 0;
 
@@ -75,42 +82,37 @@ struct PipelineResult {
 };
 
 /// The auto-segmentation rule (ExecConfig::num_segments == 0): pick the
-/// k ∈ [1, 8] minimizing the predicted pipelined makespan. Exposed so
-/// MttkrpPlan segments exactly the way the executor would. `whole` may
-/// pass the tensor's precomputed features; when null they are extracted
-/// here (an O(nnz) rescan hot callers should avoid).
+/// k ∈ [1, 8] minimizing the predicted pipelined makespan. Shared with
+/// the multi-device shard planner. `whole` may pass the tensor's
+/// precomputed features; when null they are extracted here (an O(nnz)
+/// rescan hot callers should avoid).
 int auto_segment_count(const gpusim::SimDevice& dev, const CooSpan& t,
                        order_t mode, index_t rank, const ExecConfig& cfg,
                        const TensorFeatures* whole = nullptr);
 
 class PipelineExecutor {
  public:
-  /// `selector` may be null — then adaptive_launch falls back to the
-  /// ParTI-style static heuristic.
-  PipelineExecutor(gpusim::SimDevice& dev,
-                   const LaunchSelector* selector = nullptr)
-      : dev_(&dev), selector_(selector) {}
+  explicit PipelineExecutor(gpusim::SimDevice& dev) : dev_(&dev) {}
 
-  /// Run one end-to-end mode-`mode` MTTKRP. `t` is a mode-sorted view
-  /// (a CooTensor converts implicitly; ModeViews::view(mode) plugs in
-  /// zero-copy). The device timeline is reset at entry.
+  /// Replay `plan` on `t`, the mode-sorted view it was built from (a
+  /// CooTensor converts implicitly; ModeViews::view(mode) plugs in
+  /// zero-copy). Throws when the plan's launches, nnz or rank do not
+  /// match the view and factors. The device timeline is reset at entry.
   /// ExecConfig::num_devices must be 1 here — use MultiPipelineExecutor
   /// for sharded runs.
-  PipelineResult run(const CooSpan& t, const FactorList& factors,
-                     order_t mode, const ExecConfig& cfg = {});
+  PipelineResult run(const PipelinePlan& plan, const CooSpan& t,
+                     const FactorList& factors, const ExecConfig& cfg = {});
 
  private:
   gpusim::StreamId stream(int i);
 
   gpusim::SimDevice* dev_;
-  const LaunchSelector* selector_;
   std::vector<gpusim::StreamId> pool_;
 };
 
-/// Canonical free-function driver: one pipelined mode-`mode` MTTKRP on
-/// `dev` under `cfg` (trains nothing — pass a selector for adaptive
-/// launching). Exists so call sites that run once don't have to manage
-/// an executor object.
+/// Canonical free-function driver: build the plan for one pipelined
+/// mode-`mode` MTTKRP on `dev` under `cfg`, then replay it (trains
+/// nothing — pass a selector for adaptive launching).
 PipelineResult run_pipeline(gpusim::SimDevice& dev, const CooSpan& t,
                             const FactorList& factors, order_t mode,
                             const ExecConfig& cfg = {},

@@ -1,84 +1,29 @@
 #include "scalfrag/plan.hpp"
 
-#include <algorithm>
-
 #include "common/timer.hpp"
-#include "parti/parti_kernel.hpp"
 
 namespace scalfrag {
 
 MttkrpPlan::MttkrpPlan(const CooTensor& x, index_t rank,
                        gpusim::SimDevice& dev, const LaunchSelector* selector,
                        ExecConfig config)
-    : dev_(&dev), selector_(selector), rank_(rank),
-      options_(std::move(config)) {
-  SF_CHECK(x.nnz() > 0, "cannot plan for an empty tensor");
-  SF_CHECK(rank > 0, "rank must be positive");
-  options_.validate();
-  SF_CHECK(options_.num_devices == 1,
-           "MttkrpPlan replays a single-device pipeline; shard with "
-           "MultiPipelineExecutor for ExecConfig::devices > 1");
-  WallTimer timer;
-  views_ = ModeViews(x, options_.metrics_sink);
-  prepare();
-  prepare_seconds_ = timer.seconds();
-}
+    : MttkrpPlan(ModeViews(x, config.metrics_sink), rank, dev, selector,
+                 config) {}
 
 MttkrpPlan::MttkrpPlan(ModeViews&& views, index_t rank,
                        gpusim::SimDevice& dev, const LaunchSelector* selector,
                        ExecConfig config)
-    : dev_(&dev), selector_(selector), rank_(rank),
-      options_(std::move(config)), views_(std::move(views)) {
+    : dev_(&dev), rank_(rank), options_(std::move(config)),
+      views_(std::move(views)) {
   SF_CHECK(views_.nnz() > 0, "cannot plan for an empty tensor");
-  SF_CHECK(rank > 0, "rank must be positive");
-  options_.validate();
-  SF_CHECK(options_.num_devices == 1,
-           "MttkrpPlan replays a single-device pipeline; shard with "
-           "MultiPipelineExecutor for ExecConfig::devices > 1");
   WallTimer timer;
-  prepare();
-  prepare_seconds_ = timer.seconds();
-}
-
-void MttkrpPlan::prepare() {
-  modes_.resize(views_.order());
+  modes_.reserve(views_.order());
   for (order_t m = 0; m < views_.order(); ++m) {
-    ModePlan& plan = modes_[m];
-    const CooSpan view = views_.view(m);
-    plan.features = TensorFeatures::extract(view, m);
-
-    // Segment exactly the way the executor will (auto rule included,
-    // fed the whole-tensor features just computed — no rescan). The
-    // per-segment features fall out of the segmentation pass itself.
-    const int want =
-        options_.num_segments == 0
-            ? auto_segment_count(*dev_, view, m, rank_, options_,
-                                 &plan.features)
-            : options_.num_segments;
-    plan.segments = make_segments(view, m, want,
-                                  /*align_to_slices=*/true,
-                                  /*with_features=*/true);
-
-    // One selector sweep per segment, paid once (no materialization —
-    // the fused features stand in for extract + rescan).
-    WallTimer sel_timer;
-    for (std::size_t i = 0; i < plan.segments.size(); ++i) {
-      const Segment& seg = plan.segments.segments[i];
-      if (seg.nnz() == 0) {
-        plan.launch_schedule.push_back(
-            parti::default_launch(dev_->spec(), 1));
-        continue;
-      }
-      const TensorFeatures& feat = plan.segments.features[i];
-      if (options_.adaptive_launch && selector_ != nullptr) {
-        plan.launch_schedule.push_back(selector_->select(feat).config);
-      } else {
-        plan.launch_schedule.push_back(
-            parti::default_launch(dev_->spec(), seg.nnz()));
-      }
-    }
-    plan.selection_seconds = sel_timer.seconds();
+    // Validates the config (single device included) on the first mode.
+    modes_.push_back(make_pipeline_plan(*dev_, views_.view(m), m, rank_,
+                                        options_, selector));
   }
+  prepare_seconds_ = timer.seconds();
 }
 
 PipelineResult MttkrpPlan::run(const FactorList& factors,
@@ -93,13 +38,10 @@ PipelineResult MttkrpPlan::run_on(gpusim::SimDevice& dev,
   SF_CHECK(dev.spec().name == dev_->spec().name,
            "MttkrpPlan replay requires a device of the spec the plan "
            "was built for (\"" + dev_->spec().name + "\")");
-  const ModePlan& plan = modes_[mode];
   ExecConfig opt = options_;
-  opt.num_segments = static_cast<int>(plan.segments.size());
-  opt.launch_schedule = plan.launch_schedule;
   opt.metrics_sink = sink;
-  PipelineExecutor exec(dev, selector_);
-  return exec.run(views_.view(mode), factors, mode, opt);
+  PipelineExecutor exec(dev);
+  return exec.run(modes_[mode], views_.view(mode), factors, opt);
 }
 
 }  // namespace scalfrag

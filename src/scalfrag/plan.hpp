@@ -23,16 +23,9 @@ namespace scalfrag {
 
 class MttkrpPlan {
  public:
-  struct ModePlan {
-    TensorFeatures features;
-    SegmentPlan segments;
-    std::vector<gpusim::LaunchConfig> launch_schedule;  // per segment
-    double selection_seconds = 0.0;  // one-off cost, paid here
-  };
-
   /// Precompute every mode's plan. `selector` may be null (static
   /// launches). The heavy work (one canonical sort + N-1 counting
-  /// passes + N selector sweeps) happens here, once.
+  /// passes + N segmentations and selector sweeps) happens here, once.
   ///
   /// The config is copied BY VALUE — later mutation (or destruction)
   /// of the caller's ExecConfig does not affect the plan. The one
@@ -50,7 +43,7 @@ class MttkrpPlan {
 
   order_t order() const noexcept { return views_.order(); }
   index_t rank() const noexcept { return rank_; }
-  const ModePlan& mode(order_t m) const { return modes_.at(m); }
+  const PipelinePlan& mode(order_t m) const { return modes_.at(m); }
   const ExecConfig& config() const noexcept { return options_; }
 
   /// The shared single-sort representation backing every mode.
@@ -70,8 +63,8 @@ class MttkrpPlan {
   /// sunk; result.selection_seconds stays 0).
   PipelineResult run(const FactorList& factors, order_t mode) const;
 
-  /// Cache-friendly replay: execute the precomputed mode-`mode`
-  /// schedule on `dev` — any device of the same spec as the one the
+  /// Cache-friendly replay: execute the precomputed mode-`mode` plan
+  /// on `dev` — any device of the same spec as the one the
   /// plan was built against (segmentation and launch prediction depend
   /// on the spec, not the device instance, so the replay is
   /// bit-identical wherever it lands). `sink` overrides the plan's
@@ -81,18 +74,16 @@ class MttkrpPlan {
                         order_t mode,
                         obs::MetricsRegistry* sink = nullptr) const;
 
-  /// Total one-off preprocessing wall time (sorting + selection).
+  /// One-off plan-build wall time: segmentation and launch selection
+  /// over every mode (the canonical sort is not included).
   double prepare_seconds() const noexcept { return prepare_seconds_; }
 
  private:
-  void prepare();
-
   gpusim::SimDevice* dev_;
-  const LaunchSelector* selector_;
   index_t rank_;
   ExecConfig options_;
   ModeViews views_;
-  std::vector<ModePlan> modes_;
+  std::vector<PipelinePlan> modes_;
   double prepare_seconds_ = 0.0;
 };
 

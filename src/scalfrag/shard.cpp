@@ -43,9 +43,6 @@ ShardPlan make_shard_plan(const gpusim::DeviceGroup& group,
   SF_CHECK(t.is_sorted_by_mode(mode), "shard planner needs sorted input");
   CooSpan view = t;
   view.assume_sorted_by(mode);
-  SF_CHECK(cfg.launch_schedule.empty(),
-           "launch_schedule is single-device only; multi-device launches "
-           "are predicted per shard from the realized plan");
   const int n_dev = group.size();
 
   ShardPlan sp;

@@ -77,8 +77,7 @@ struct ShardPlan {
 /// runs an auto-depth pipeline). Devices beyond the realized segment
 /// count receive empty shards. `selector` may be null — launch
 /// prediction then falls back to the static heuristic, exactly like
-/// the single-device executor. cfg.launch_schedule must be empty: a
-/// flat schedule cannot be mapped onto per-device plans.
+/// the single-device planner.
 ShardPlan make_shard_plan(const gpusim::DeviceGroup& group,
                           const CooSpan& t, order_t mode, index_t rank,
                           const ExecConfig& cfg,

@@ -1,10 +1,30 @@
 #include "service/plan_cache.hpp"
 
+#include <sstream>
+
 #include "common/error.hpp"
 #include "common/timer.hpp"
 #include "tensor/generator.hpp"
 
 namespace scalfrag::service {
+
+std::string plan_config_key(const ExecConfig& cfg) {
+  const auto& launch = cfg.launch_override;
+  const gpusim::CpuSpec& cpu = cfg.cpu_spec;
+  const HostExecParams& h = cfg.host_exec;
+  std::ostringstream os;
+  os << std::hexfloat << cfg.num_devices << ' ' << cfg.num_segments << ' '
+     << cfg.num_streams << ' ' << cfg.use_shared_mem << cfg.adaptive_launch
+     << ' ' << cfg.hybrid_cpu_threshold << ' ' << cfg.csf_fiber_budget << ' '
+     << (launch ? launch->str() + std::to_string(launch->shmem_per_block)
+                : "-")
+     << ' ' << cpu.name << ' ' << cpu.cores << ' ' << cpu.threads << ' '
+     << cpu.clock_ghz << ' ' << cpu.mem_bandwidth_gbps << ' '
+     << cpu.simd_flops_per_cycle << ' ' << h.threads << ' ' << h.grain_nnz
+     << ' ' << static_cast<int>(h.strategy) << ' '
+     << static_cast<int>(h.isa) << ' ' << static_cast<int>(h.pinning);
+  return os.str();
+}
 
 PlanCache::PlanCache(std::size_t capacity, obs::MetricsRegistry* metrics)
     : capacity_(capacity), metrics_(metrics) {

@@ -6,7 +6,7 @@
 //   level 1  (tensor recipe → TensorEntry): the generated canonical
 //            tensor plus its mode-0 sparsity features. A hit skips
 //            generation AND feature extraction.
-//   level 2  (features + rank + backend → PlanEntry): the prepared
+//   level 2  (features + rank + backend + config → PlanEntry): the prepared
 //            MttkrpPlan / CsfPlan (sort, segmentation, launch
 //            selection all sunk). A hit skips plan construction; the
 //            replay entry points (MttkrpPlan::run_on / CsfPlan::run_on)
@@ -34,6 +34,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <tuple>
 
 #include "obs/metrics.hpp"
 #include "scalfrag/csf_plan.hpp"
@@ -52,7 +53,13 @@ struct TensorEntry {
   double prepare_seconds = 0.0;
 };
 
-/// Level-2 key: "TensorFeatures + rank + backend name".
+/// The ExecConfig fields a cached plan bakes in at build or reads at
+/// replay, as one comparable string. Decomposition knobs and metrics
+/// sinks are left out: a CPD job replays the plan of the MTTKRP jobs on
+/// the same recipe, and every job reports into its own registry.
+std::string plan_config_key(const ExecConfig& cfg);
+
+/// Level-2 key: "TensorFeatures + rank + backend name + plan config".
 struct PlanKey {
   std::array<double, TensorFeatures::kVectorSize> features{};
   index_t rank = 0;
@@ -61,12 +68,13 @@ struct PlanKey {
   /// replay are per-spec, so a heterogeneous group caches one plan per
   /// member kind (uniform groups share a single entry as before).
   std::string device;
+  /// plan_config_key of the job's config: jobs that differ in a baked-in
+  /// field (segment count, launch override, ...) must not share a plan.
+  std::string config;
 
   bool operator<(const PlanKey& o) const {
-    if (features != o.features) return features < o.features;
-    if (rank != o.rank) return rank < o.rank;
-    if (backend != o.backend) return backend < o.backend;
-    return device < o.device;
+    return std::tie(features, rank, backend, device, config) <
+           std::tie(o.features, o.rank, o.backend, o.device, o.config);
   }
 };
 

@@ -350,6 +350,7 @@ void DecompositionService::admit_and_dispatch(QueuedJob job) {
       key.rank = rank;
       key.backend = cfg.backend_name;
       key.device = group_.spec(dev).name;
+      key.config = plan_config_key(cfg);
       item.plan = cache_.plan(
           key,
           [&] {

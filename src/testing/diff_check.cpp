@@ -41,28 +41,22 @@ DenseMatrix run_pipeline(const CooSpan& t, const FactorList& f, order_t mode,
                        .hybrid_threshold(hybrid_threshold)
                        .strategy(strategy)
                        .grain(64);
-  if (schedule_from_plan) {
-    // Size the explicit schedule the way real callers must: from the
-    // realized plan of the GPU share (slice snapping can realize fewer
-    // segments than requested), mirroring the executor's sequencing.
-    SF_CHECK(segments > 0, "scheduled paths need an explicit count");
-    CooSpan gt = t;
-    HybridPartition part;
-    if (hybrid_threshold > 0) {
-      part = partition_for_hybrid(t, mode, hybrid_threshold);
-      if (!part.gpu_whole) gt = part.gpu_view(t);
-    }
-    const SegmentPlan plan = make_segments(gt, mode, segments);
-    opt.launch_schedule.reserve(plan.size());
-    for (std::size_t i = 0; i < plan.size(); ++i) {
-      // Alternate shapes so a misaligned schedule would actually change
-      // the simulated launches (and any config-sensitive bug surfaces).
-      opt.launch_schedule.push_back(
-          gpusim::LaunchConfig{i % 2 == 0 ? 48u : 96u,
-                               i % 2 == 0 ? 128u : 64u, 0});
-    }
+  if (!schedule_from_plan) {
+    return scalfrag::run_pipeline(dev, t, f, mode, opt).output;
   }
-  return scalfrag::run_pipeline(dev, t, f, mode, opt).output;
+  // Overwrite the realized plan's launches with alternating shapes so a
+  // launch paired with the wrong segment would actually change the
+  // simulated kernels (and any config-sensitive bug surfaces).
+  SF_CHECK(segments > 0, "scheduled paths need an explicit count");
+  const index_t rank = f[0].cols();
+  PipelinePlan plan = make_pipeline_plan(dev, t, mode, rank, opt);
+  for (std::size_t i = 0; i < plan.launches.size(); ++i) {
+    gpusim::LaunchConfig c{i % 2 == 0 ? 48u : 96u, i % 2 == 0 ? 128u : 64u,
+                           0};
+    if (use_shared_mem) c.shmem_per_block = kernel_shmem_bytes(c.block, rank);
+    plan.launches[i] = c;
+  }
+  return PipelineExecutor(dev).run(plan, t, f, opt).output;
 }
 
 DenseMatrix run_multidev(const CooSpan& t, const FactorList& f, order_t mode,
@@ -415,8 +409,8 @@ const std::vector<ExecPath>& build_table() {
         });
 
     // The global-memory kernel variant (no shared-memory privatization)
-    // and explicit per-segment launch schedules sized from the realized
-    // plan — alone and combined with the hybrid split.
+    // and plans whose per-segment launches were rewritten after the
+    // build — alone and combined with the hybrid split.
     add("pipeline/s4x2/noshmem",
         [](const CooTensor& t, const FactorList& f, order_t mode) {
           return run_pipeline(t, f, mode, 4, 2, 0, HostStrategy::Auto,

@@ -51,7 +51,6 @@ TEST_P(AutoSegmentsScale, NeverLosesToExtremes) {
   CooTensor t = make_frostt_tensor("nell-2", 1.0 / denom, 703);
   const auto f = random_factors(t, 16, 704);
   gpusim::SimDevice dev(kSpec);
-  PipelineExecutor exec(dev);
 
   ExecConfig auto_opt;  // num_segments = 0 (auto)
   ExecConfig one;
@@ -59,9 +58,9 @@ TEST_P(AutoSegmentsScale, NeverLosesToExtremes) {
   ExecConfig many;
   many.num_segments = 16;
 
-  const sim_ns t_auto = exec.run(t, f, 0, auto_opt).total_ns;
-  const sim_ns t_one = exec.run(t, f, 0, one).total_ns;
-  const sim_ns t_many = exec.run(t, f, 0, many).total_ns;
+  const sim_ns t_auto = run_pipeline(dev, t, f, 0, auto_opt).total_ns;
+  const sim_ns t_one = run_pipeline(dev, t, f, 0, one).total_ns;
+  const sim_ns t_many = run_pipeline(dev, t, f, 0, many).total_ns;
 
   EXPECT_LE(static_cast<double>(t_auto), 1.08 * t_one) << "lost to k=1";
   EXPECT_LE(static_cast<double>(t_auto), 1.08 * t_many) << "lost to k=16";
@@ -74,12 +73,11 @@ TEST(AutoSegments, PipelineBeatsParTiAcrossScales) {
   // The regression the rule exists to prevent: ScalFrag must not lose
   // end-to-end at small scales where over-segmentation used to hurt.
   gpusim::SimDevice dev(kSpec);
-  PipelineExecutor exec(dev);
   for (int denom : {4096, 1024, 256}) {
     CooTensor t = make_frostt_tensor("nell-2", 1.0 / denom, 705);
     const auto f = random_factors(t, 16, 706);
     const auto base = parti::run_mttkrp(dev, t, f, 0);
-    const auto ours = exec.run(t, f, 0);
+    const auto ours = run_pipeline(dev, t, f, 0);
     EXPECT_LT(ours.total_ns, base.total_ns) << "1/" << denom;
   }
 }

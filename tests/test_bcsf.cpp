@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "tensor/bcsf.hpp"
 #include "tensor/features.hpp"
 #include "tensor/generator.hpp"
@@ -72,7 +74,7 @@ TEST(Bcsf, Validation) {
 
 // Property: B-CSF MTTKRP == reference for every profile × threshold.
 class BcsfMttkrp
-    : public ::testing::TestWithParam<std::tuple<const char*, int>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, int>> {};
 
 TEST_P(BcsfMttkrp, MatchesReference) {
   const auto [name, cap] = GetParam();

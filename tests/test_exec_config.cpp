@@ -94,41 +94,6 @@ TEST(ExecConfig, HostForRunDefaultsTheMetricsSink) {
 // exact same execution, not an approximation. The simulator is
 // deterministic, so "same config" means bit-identical outputs and
 // identical simulated timelines.
-TEST(ExecConfig, LegacyPipelineOptionsShimIsBitIdentical) {
-  CooTensor t = make_frostt_tensor("nips", 1.0 / 1024, 701);
-  t.sort_by_mode(0);
-  const auto f = random_factors(t, 16, 702);
-
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  PipelineOptions legacy;
-  legacy.num_segments = 3;
-  legacy.num_streams = 2;
-  legacy.use_shared_mem = false;
-  legacy.hybrid_cpu_threshold = 16;
-  legacy.host_exec.grain_nnz = 64;
-  const ExecConfig converted = legacy;
-#pragma GCC diagnostic pop
-
-  const ExecConfig direct = ExecConfig{}
-                                .segments(3)
-                                .streams(2)
-                                .shared_mem(false)
-                                .hybrid_threshold(16)
-                                .grain(64);
-
-  gpusim::SimDevice dev(kSpec);
-  const auto a = run_pipeline(dev, t, f, 0, converted);
-  const auto b = run_pipeline(dev, t, f, 0, direct);
-  ASSERT_EQ(a.output.size(), b.output.size());
-  EXPECT_EQ(std::memcmp(a.output.data(), b.output.data(),
-                        a.output.size() * sizeof(value_t)),
-            0);
-  EXPECT_EQ(a.total_ns, b.total_ns);
-  EXPECT_EQ(a.launches.size(), b.launches.size());
-  EXPECT_EQ(a.cpu_nnz, b.cpu_nnz);
-}
-
 TEST(ExecConfig, LegacyHostExecOptionsAliasIsTheSameType) {
   CooTensor t = make_frostt_tensor("uber", 1.0 / 2048, 703);
   t.sort_by_mode(0);

@@ -36,10 +36,9 @@ TEST(FailureInjection, PipelineOomWhenEvenOneSegmentCannotFit) {
 
   CooTensor t = make_frostt_tensor("nips", 1.0 / 4096, 401);
   const auto f = random_factors(t, 8, 402);
-  PipelineExecutor exec(dev);
   ExecConfig opt;
   opt.num_segments = 64;
-  EXPECT_THROW(exec.run(t, f, 0, opt), DeviceOutOfMemory);
+  EXPECT_THROW(run_pipeline(dev, t, f, 0, opt), DeviceOutOfMemory);
   // All partial allocations must have been released (RAII).
   EXPECT_EQ(dev.allocator().used(), 0u);
 }

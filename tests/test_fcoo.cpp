@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "tensor/fcoo.hpp"
 #include "tensor/generator.hpp"
 
@@ -112,7 +114,7 @@ TEST(Fcoo, RejectsBadArguments) {
 // Property: F-COO MTTKRP == COO reference across tensors, modes and
 // partition sizes (partition size must not affect results at all).
 class FcooMttkrp
-    : public ::testing::TestWithParam<std::tuple<const char*, int, int>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, int, int>> {};
 
 TEST_P(FcooMttkrp, MatchesReference) {
   const auto [name, mode, part] = GetParam();

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "tensor/generator.hpp"
 #include "tensor/hicoo.hpp"
 
@@ -120,7 +122,7 @@ TEST(Hicoo, MttkrpAccumulateFlag) {
 // Property: HiCOO MTTKRP == COO reference across modes, block sizes,
 // and tensor shapes.
 class HicooMttkrp
-    : public ::testing::TestWithParam<std::tuple<const char*, int, int>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, int, int>> {};
 
 TEST_P(HicooMttkrp, MatchesReference) {
   const auto [name, mode, block] = GetParam();

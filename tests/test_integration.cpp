@@ -39,13 +39,12 @@ TEST(Integration, EndToEndSpeedupOnEveryProfile) {
   // roughly 1.3×–2.0×.
   const LaunchSelector sel = trained_selector();
   gpusim::SimDevice dev(kSpec);
-  PipelineExecutor exec(dev, &sel);
 
   for (const auto& prof : frostt_profiles()) {
     CooTensor t = make_frostt_tensor(prof.name, 1.0 / 512, 7);
     const auto f = random_factors(t, 16, 8);
     const auto base = parti::run_mttkrp(dev, t, f, 0);
-    const auto ours = exec.run(t, f, 0);
+    const auto ours = run_pipeline(dev, t, f, 0, {}, &sel);
     const double speedup = static_cast<double>(base.total_ns) /
                            static_cast<double>(ours.total_ns);
     EXPECT_GT(speedup, 1.0) << prof.name;
@@ -60,7 +59,6 @@ TEST(Integration, KernelSpeedupOnEveryProfile) {
   // Fig. 9: the tuned shared-memory kernel beats ParTI's kernel.
   const LaunchSelector sel = trained_selector();
   gpusim::SimDevice dev(kSpec);
-  PipelineExecutor exec(dev, &sel);
   ExecConfig one_shot;  // single segment isolates kernel behaviour
   one_shot.num_segments = 1;
   one_shot.num_streams = 1;
@@ -69,7 +67,7 @@ TEST(Integration, KernelSpeedupOnEveryProfile) {
     CooTensor t = make_frostt_tensor(prof.name, 1.0 / 512, 9);
     const auto f = random_factors(t, 16, 10);
     const auto base = parti::run_mttkrp(dev, t, f, 0);
-    const auto ours = exec.run(t, f, 0, one_shot);
+    const auto ours = run_pipeline(dev, t, f, 0, one_shot, &sel);
     EXPECT_LT(ours.breakdown.kernel, base.breakdown.kernel) << prof.name;
   }
 }
@@ -77,15 +75,13 @@ TEST(Integration, KernelSpeedupOnEveryProfile) {
 TEST(Integration, AdaptiveLaunchBeatsStaticForScalFragKernel) {
   const LaunchSelector sel = trained_selector();
   gpusim::SimDevice dev(kSpec);
-  PipelineExecutor adaptive(dev, &sel);
-  PipelineExecutor static_exec(dev, nullptr);
 
   int wins = 0, total = 0;
   for (const char* name : {"vast", "nips", "uber", "nell-2", "enron"}) {
     CooTensor t = make_frostt_tensor(name, 1.0 / 512, 11);
     const auto f = random_factors(t, 16, 12);
-    const auto a = adaptive.run(t, f, 0);
-    const auto s = static_exec.run(t, f, 0);
+    const auto a = run_pipeline(dev, t, f, 0, {}, &sel);
+    const auto s = run_pipeline(dev, t, f, 0);
     wins += a.breakdown.kernel <= s.breakdown.kernel;
     ++total;
   }
@@ -107,11 +103,10 @@ TEST(Integration, SegmentationUnlocksTensorsBiggerThanDevice) {
   EXPECT_THROW(parti::run_mttkrp(dev, t, f, 0), DeviceOutOfMemory);
 
   const int segs = segments_for_budget(t, 0, 4, tiny.global_mem_bytes / 8);
-  PipelineExecutor exec(dev);
   ExecConfig opt;
   opt.num_segments = segs;
   opt.num_streams = 2;
-  const auto res = exec.run(t, f, 0, opt);
+  const auto res = run_pipeline(dev, t, f, 0, opt);
   const auto expect = mttkrp_coo_ref(t, f, 0);
   EXPECT_LT(DenseMatrix::max_abs_diff(res.output, expect), 2e-3);
 }
@@ -151,10 +146,9 @@ TEST(Integration, WholeFlowIsDeterministic) {
     tuner.train();
     const LaunchSelector sel = tuner.selector();
     gpusim::SimDevice dev(kSpec);
-    PipelineExecutor exec(dev, &sel);
     CooTensor t = make_frostt_tensor("enron", 1.0 / 2048, 910);
     const auto f = random_factors(t, 16, 911);
-    const auto res = exec.run(t, f, 0);
+    const auto res = run_pipeline(dev, t, f, 0, {}, &sel);
     return std::tuple(res.total_ns, res.launches, res.plan.size(),
                       res.output(0, 0));
   };
@@ -176,8 +170,7 @@ TEST(Integration, TnsRoundTripThroughFullPipeline) {
 
   const auto f = random_factors(t, 8, 18);
   gpusim::SimDevice dev(kSpec);
-  PipelineExecutor exec(dev);
-  const auto res = exec.run(loaded, f, 0);
+  const auto res = run_pipeline(dev, loaded, f, 0);
   EXPECT_LT(DenseMatrix::max_abs_diff(res.output, mttkrp_coo_ref(t, f, 0)),
             2e-3);
 }

@@ -1,9 +1,11 @@
 // MttkrpPlan tests: planned execution equals ad-hoc execution,
-// selection cost is paid once, and CPD uses the plan transparently.
+// planning (segmentation, selection) is paid once at build, and CPD uses
+// the plan transparently.
 // Also covers the simulated SpTTM executor.
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <optional>
 
 #include "parti/parti_executor.hpp"
@@ -43,24 +45,32 @@ TEST(MttkrpPlan, PlannedRunMatchesAdHocRun) {
   const CooTensor t = make_frostt_tensor("nell-2", 1.0 / 2048, 502);
   const auto f = random_factors(t, 16, 503);
 
-  const MttkrpPlan plan(t, 16, dev, &sel);
-  for (order_t m = 0; m < t.order(); ++m) {
-    const auto planned = plan.run(f, m);
+  // The default config, a launch override, and a hybrid split: the plan
+  // must bake in every one of them exactly as the one-shot driver does.
+  for (const ExecConfig& cfg :
+       {ExecConfig{}, ExecConfig{}.launch({512, 128, 0}),
+        ExecConfig{}.hybrid_threshold(2000)}) {
+    const MttkrpPlan plan(t, 16, dev, &sel, cfg);
+    for (order_t m = 0; m < t.order(); ++m) {
+      const auto planned = plan.run(f, m);
 
-    CooTensor sorted = t;
-    sorted.sort_by_mode(m);
-    PipelineExecutor exec(dev, &sel);
-    ExecConfig opt;
-    opt.num_segments = static_cast<int>(plan.mode(m).segments.size());
-    const auto adhoc = exec.run(sorted, f, m, opt);
+      CooTensor sorted = t;
+      sorted.sort_by_mode(m);
+      const auto adhoc = run_pipeline(dev, sorted, f, m, cfg, &sel);
 
-    EXPECT_LT(DenseMatrix::max_abs_diff(planned.output, adhoc.output), 2e-3);
-    EXPECT_EQ(planned.total_ns, adhoc.total_ns);
-    // The plan replays precomputed launches: no online selection cost.
-    EXPECT_DOUBLE_EQ(planned.selection_seconds, 0.0);
-    EXPECT_EQ(planned.launches, plan.mode(m).launch_schedule);
+      ASSERT_EQ(planned.output.size(), adhoc.output.size());
+      EXPECT_EQ(std::memcmp(planned.output.data(), adhoc.output.data(),
+                            planned.output.size() * sizeof(value_t)),
+                0);
+      EXPECT_EQ(planned.total_ns, adhoc.total_ns);
+      EXPECT_EQ(planned.launches, adhoc.launches);
+      EXPECT_EQ(planned.cpu_nnz, adhoc.cpu_nnz);
+      // The plan replays precomputed launches: no online selection cost.
+      EXPECT_DOUBLE_EQ(planned.selection_seconds, 0.0);
+      EXPECT_EQ(planned.launches, plan.mode(m).launches);
+    }
+    EXPECT_GT(plan.prepare_seconds(), 0.0);
   }
-  EXPECT_GT(plan.prepare_seconds(), 0.0);
 }
 
 TEST(MttkrpPlan, SchedulesOneLaunchPerSegment) {
@@ -68,11 +78,65 @@ TEST(MttkrpPlan, SchedulesOneLaunchPerSegment) {
   const CooTensor t = make_frostt_tensor("uber", 1.0 / 2048, 504);
   const MttkrpPlan plan(t, 8, dev, nullptr);
   for (order_t m = 0; m < t.order(); ++m) {
-    EXPECT_EQ(plan.mode(m).launch_schedule.size(),
-              plan.mode(m).segments.size());
+    EXPECT_EQ(plan.mode(m).launches.size(), plan.mode(m).segments.size());
     EXPECT_TRUE(plan.view(m).is_sorted_by_mode(m));
-    EXPECT_EQ(plan.mode(m).features.nnz, t.nnz());
+    EXPECT_EQ(plan.mode(m).segments.segments.back().end, t.nnz());
   }
+}
+
+TEST(MttkrpPlan, ReplaysDoNoPlanning) {
+  gpusim::SimDevice dev(kSpec);
+  const CooTensor t = make_frostt_tensor("nell-2", 1.0 / 2048, 513);
+  const auto f = random_factors(t, 8, 514);
+  obs::MetricsRegistry met;
+  const MttkrpPlan plan(t, 8, dev, nullptr, ExecConfig{}.metrics(&met));
+  const std::uint64_t spans = met.stage("host/segmentation").count;
+  const std::uint64_t requested = met.counter("pipeline/segments_requested");
+  EXPECT_EQ(spans, t.order());  // one segmentation per mode, at build
+  for (int rep = 0; rep < 3; ++rep) {
+    for (order_t m = 0; m < t.order(); ++m) plan.run_on(dev, f, m, &met);
+  }
+  EXPECT_EQ(met.stage("host/segmentation").count, spans);
+  EXPECT_EQ(met.counter("pipeline/segments_requested"), requested);
+  EXPECT_EQ(met.counter("pipeline/runs"), 3u * t.order());
+}
+
+TEST(MttkrpPlan, CpdHonorsLaunchOverride) {
+  // cpd_als replays its plan, so the override must reach every replay:
+  // the simulated MTTKRP time is the per-mode one-shot time under the
+  // same override, once per iteration.
+  const LaunchSelector sel = trained_selector();
+  gpusim::SimDevice dev(kSpec);
+  const CooTensor x = make_frostt_tensor("nell-2", 1.0 / 1024, 515);
+  const ExecConfig cfg =
+      ExecConfig{}.backend("coo").rank(8).max_iters(2).tol(0.0);
+  const ExecConfig forced = ExecConfig(cfg).launch({512, 128, 0});
+
+  const CpdResult adaptive = cpd_als(x, cfg, &dev, &sel);
+  const CpdResult overridden = cpd_als(x, forced, &dev, &sel);
+  EXPECT_NE(overridden.mttkrp_sim_ns, adaptive.mttkrp_sim_ns);
+
+  const auto f = random_factors(x, 8, 516);
+  sim_ns per_iteration = 0;
+  for (order_t m = 0; m < x.order(); ++m) {
+    CooTensor sorted = x;
+    sorted.sort_by_mode(m);
+    per_iteration += run_pipeline(dev, sorted, f, m, forced, &sel).total_ns;
+  }
+  ASSERT_EQ(overridden.iterations, 2);
+  EXPECT_EQ(overridden.mttkrp_sim_ns, 2 * per_iteration);
+}
+
+TEST(MttkrpPlan, HybridCpdMatchesHostFit) {
+  const LaunchSelector sel = trained_selector();
+  gpusim::SimDevice dev(kSpec);
+  const CooTensor x = make_frostt_tensor("nell-2", 1.0 / 1024, 517);
+  const ExecConfig cfg = ExecConfig{}.rank(8).max_iters(2).tol(0.0);
+  const CpdResult hybrid = cpd_als(
+      x, ExecConfig(cfg).backend("coo").hybrid_threshold(2000), &dev, &sel);
+  const CpdResult host = cpd_als(x, ExecConfig(cfg).backend("coo_host"));
+  EXPECT_NEAR(hybrid.final_fit, host.final_fit, 1e-3);
+  EXPECT_GT(hybrid.mttkrp_sim_ns, 0u);
 }
 
 TEST(MttkrpPlan, Validation) {

@@ -19,11 +19,10 @@ using testing::make_archetype;
 DenseMatrix run_pipeline(const CooTensor& t, const FactorList& f, order_t mode,
                          int segments, int streams) {
   gpusim::SimDevice dev(gpusim::DeviceSpec::rtx3090());
-  PipelineExecutor exec(dev);
   ExecConfig opt;
   opt.num_segments = segments;
   opt.num_streams = streams;
-  return exec.run(t, f, mode, opt).output;
+  return run_pipeline(dev, t, f, mode, opt).output;
 }
 
 TEST(SegmentEdges, EmptyTensorYieldsOneEmptySegment) {

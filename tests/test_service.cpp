@@ -285,6 +285,33 @@ TEST(ServiceCache, PlanCacheHitIsBitIdenticalToColdRun) {
   EXPECT_EQ(svc.cache().tensor_entries(), 1u);
 }
 
+// Jobs that differ only in a field the plan bakes in (here the segment
+// count) must each get their own plan, and replay it exactly as a
+// standalone plan of their own config would.
+TEST(ServiceCache, PlanKeyCoversBakedInConfig) {
+  JobSpec two = mttkrp_spec("a", 1);
+  two.exec.segments(2);
+  JobSpec six = mttkrp_spec("a", 1);
+  six.exec.segments(6);
+  DecompositionService svc({.num_devices = 1});
+  const auto results = svc.run_batch({two, six});
+  ASSERT_EQ(results.size(), 2u);
+  EXPECT_EQ(svc.stats().cache_misses, 2u);
+  EXPECT_EQ(svc.cache().plan_entries(), 2u);
+
+  const CooTensor t = make_frostt_tensor("nips", kTinyScale, two.tensor_seed);
+  FactorList f;
+  for (order_t m = 0; m < t.order(); ++m) f.emplace_back(t.dim(m), 8);
+  gpusim::SimDevice dev(gpusim::DeviceSpec::rtx3090());
+  const JobSpec* specs[] = {&two, &six};
+  for (std::size_t i = 0; i < 2; ++i) {
+    ASSERT_EQ(results[i].state, JobState::Completed) << results[i].error;
+    EXPECT_FALSE(results[i].plan_cache_hit);
+    const MttkrpPlan plan(t, 8, dev, nullptr, specs[i]->exec);
+    EXPECT_EQ(results[i].sim_cost_ns, plan.run_on(dev, f, 0).total_ns);
+  }
+}
+
 TEST(ServiceCache, AutoBackendResolvesOnceAndCachesTheChoice) {
   DecompositionService svc({.num_devices = 1});
   const auto results =

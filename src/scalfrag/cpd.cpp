@@ -145,14 +145,15 @@ CpdResult cpd_als(const CooTensor& x, const ExecConfig& cfg,
   // "coo" single device: plan once (per-mode sorting, segmentation, and
   // launch selection are factor-independent), replay every iteration —
   // unless the caller already holds a cached plan. Sharded: a
-  // DeviceGroup cloned from the driver device's spec runs each MTTKRP
-  // through MultiPipelineExecutor. CSF: per-mode trees + tilings, built
-  // or injected the same way.
+  // DeviceGroup cloned from the driver device's spec, with one ShardPlan
+  // per mode built here and replayed every iteration. CSF: per-mode
+  // trees + tilings, built or injected the same way.
   std::optional<MttkrpPlan> own_coo_plan;
   std::optional<CsfPlan> own_csf_plan;
   const MttkrpPlan* coo_plan = shared.coo;
   const CsfPlan* csf_plan = shared.csf;
   std::optional<gpusim::DeviceGroup> group;
+  std::vector<ShardPlan> shard_plans;  // CooMulti: one per mode
   if (path == CpdPath::CooPlan) {
     if (coo_plan != nullptr) {
       SF_CHECK(coo_plan->rank() == rank,
@@ -180,7 +181,13 @@ CpdResult cpd_als(const CooTensor& x, const ExecConfig& cfg,
       csf_plan = &*own_csf_plan;
     }
   } else if (path == CpdPath::CooMulti) {
+    std::optional<obs::MetricsRegistry::ScopedSpan> span;
+    if (met != nullptr) span.emplace(*met, "cpd/plan");
     group.emplace(dev->spec(), cfg.num_devices, cfg.link);
+    for (order_t m = 0; m < order; ++m) {
+      shard_plans.push_back(
+          make_shard_plan(*group, views->view(m), m, rank, cfg, selector));
+    }
   }
   res.info.prepare_seconds = prep_timer.seconds();
 
@@ -197,8 +204,8 @@ CpdResult cpd_als(const CooTensor& x, const ExecConfig& cfg,
         return std::move(r.output);
       }
       case CpdPath::CooMulti: {
-        auto r = run_multi_pipeline(*group, views->view(mode), res.factors,
-                                    mode, cfg, selector);
+        auto r = run_shard_plan(*group, shard_plans[mode], views->view(mode),
+                                res.factors, cfg);
         res.mttkrp_sim_ns += r.total_ns;
         ++res.mttkrp_calls;
         return std::move(r.output);

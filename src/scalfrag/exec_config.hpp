@@ -44,7 +44,7 @@ struct ExecConfig {
   std::string backend_name = "coo";
   // --- device group (multi-device sharding) ---------------------------
   /// Simulated devices to shard segments across. 1 = the classic
-  /// single-device pipeline; N > 1 runs the MultiPipelineExecutor.
+  /// single-device pipeline; N > 1 shards it (run_multi_pipeline).
   int num_devices = 1;
   /// Partial-output reduction schedule across devices; nullopt picks
   /// the cheaper of tree/ring for the output size at run time.

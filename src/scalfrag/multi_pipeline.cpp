@@ -11,8 +11,6 @@
 #include <vector>
 
 #include "gpusim/sim_metrics.hpp"
-#include "gpusim/transfer.hpp"
-#include "parti/parti_kernel.hpp"
 #include "scalfrag/kernel.hpp"
 #include "tensor/mttkrp_ref.hpp"
 
@@ -84,18 +82,20 @@ struct StealScheduler {
 class DeviceDriver {
  public:
   DeviceDriver(int d, gpusim::SimDevice& dev, const ShardPlan& sp,
-               const CooSpan& t, const FactorList& factors, order_t mode,
-               index_t rank, const ExecConfig& cfg,
+               const CooSpan& t, const FactorList& factors,
+               const ExecConfig& cfg,
                const HostExecParams& host_exec, DenseMatrix* partial,
                StealScheduler& sched)
       : d_(d),
         dev_(dev),
         sp_(sp),
         sh_(sp.shards[static_cast<std::size_t>(d)]),
+        segs_(sp.plan.segments.segments),
+        feats_(sp.plan.segments.features),
         t_(t),
         factors_(factors),
-        mode_(mode),
-        rank_(rank),
+        mode_(sp.plan.mode()),
+        rank_(sp.plan.rank),
         cfg_(cfg),
         host_exec_(host_exec),
         partial_(partial),
@@ -132,8 +132,7 @@ class DeviceDriver {
                       .first;
         target = &it->second;
         ++stolen_segments;
-        stolen_nnz +=
-            sp_.plan.segments[static_cast<std::size_t>(seg_id)].nnz();
+        stolen_nnz += segs_[static_cast<std::size_t>(seg_id)].nnz();
       } else {
         break;
       }
@@ -170,31 +169,21 @@ class DeviceDriver {
     return sh.seg_pred_ns[static_cast<std::size_t>(seg_id - sh.seg_begin)];
   }
 
-  /// Predicted cost of executing global segment `seg_id` here: the
-  /// static launch for this device's spec (the victim's predicted
-  /// launch was tuned for the victim), bottlenecked by the H2D copy.
+  /// Predicted cost of executing global segment `seg_id` here under
+  /// thief_launch, bottlenecked by the H2D copy.
   sim_ns my_cost(int seg_id) const {
-    const Segment& seg =
-        sp_.plan.segments[static_cast<std::size_t>(seg_id)];
-    const TensorFeatures& feat =
-        sp_.plan.features[static_cast<std::size_t>(seg_id)];
-    const gpusim::LaunchConfig lc = thief_launch(seg.nnz());
-    const gpusim::KernelProfile prof =
-        mttkrp_profile(feat, rank_, cfg_.use_shared_mem);
-    const sim_ns kern = dev_.cost_model().kernel_ns(lc, prof);
-    const sim_ns copy = gpusim::transfer_ns(
-        dev_.spec(), t_.subspan(seg.begin, seg.end).bytes());
-    return std::max(kern, copy);
+    const Segment& seg = segs_[static_cast<std::size_t>(seg_id)];
+    return predict_segment_ns(dev_, thief_launch(seg_id),
+                              feats_[static_cast<std::size_t>(seg_id)], rank_,
+                              cfg_.use_shared_mem,
+                              t_.subspan(seg.begin, seg.end).bytes());
   }
 
-  gpusim::LaunchConfig thief_launch(nnz_t nnz) const {
-    gpusim::LaunchConfig lc = cfg_.launch_override
-                                  ? *cfg_.launch_override
-                                  : parti::default_launch(dev_.spec(), nnz);
-    if (cfg_.use_shared_mem) {
-      lc.shmem_per_block = kernel_shmem_bytes(lc.block, rank_);
-    }
-    return lc;
+  /// The launch rule without the selector, for this device's spec (the
+  /// plan's launch was chosen for the victim).
+  gpusim::LaunchConfig thief_launch(int seg_id) const {
+    return choose_launch(dev_, feats_[static_cast<std::size_t>(seg_id)],
+                         rank_, cfg_);
   }
 
   /// Deterministic victim rule: the live peer with the latest projected
@@ -251,14 +240,13 @@ class DeviceDriver {
     nnz_t max_seg = 0;
     int candidates = 0;
     if (cfg_.work_stealing) {
-      for (const auto& s : sp_.plan.segments) {
+      for (const auto& s : segs_) {
         max_seg = std::max(max_seg, s.nnz());
         if (s.nnz() > 0) ++candidates;
       }
     } else {
       for (int i = sh_.seg_begin; i < sh_.seg_end; ++i) {
-        max_seg = std::max(
-            max_seg, sp_.plan.segments[static_cast<std::size_t>(i)].nnz());
+        max_seg = std::max(max_seg, segs_[static_cast<std::size_t>(i)].nnz());
         ++candidates;
       }
     }
@@ -283,8 +271,7 @@ class DeviceDriver {
   /// else the completion of the kernel that frees one.
   sim_ns issue(int seg_id, bool stolen) {
     prime();
-    const Segment& seg =
-        sp_.plan.segments[static_cast<std::size_t>(seg_id)];
+    const Segment& seg = segs_[static_cast<std::size_t>(seg_id)];
     const CooSpan segment = t_.subspan(seg.begin, seg.end);
     // Own segments keep the PR 4 stream rotation (local segment
     // index); stolen ones continue rotating after the owned range.
@@ -295,11 +282,9 @@ class DeviceDriver {
     dev_.memcpy_h2d(s, segment.bytes(), nullptr,
                     "H2D segment " + std::to_string(seg_id));
     const gpusim::LaunchConfig launch =
-        stolen ? thief_launch(seg.nnz())
-               : sh_.launches[static_cast<std::size_t>(seg_id -
-                                                       sh_.seg_begin)];
-    const TensorFeatures& feat =
-        sp_.plan.features[static_cast<std::size_t>(seg_id)];
+        stolen ? thief_launch(seg_id)
+               : sp_.plan.launches[static_cast<std::size_t>(seg_id)];
+    const TensorFeatures& feat = feats_[static_cast<std::size_t>(seg_id)];
     const gpusim::KernelProfile prof =
         mttkrp_profile(feat, rank_, cfg_.use_shared_mem);
     dev_.launch_kernel(s, launch, prof, nullptr,
@@ -316,13 +301,10 @@ class DeviceDriver {
   /// The functional kernel body for `seg_id`, accumulated into
   /// `target` — run outside the scheduler lock.
   void exec(int seg_id, DenseMatrix& target) {
-    const Segment& seg =
-        sp_.plan.segments[static_cast<std::size_t>(seg_id)];
+    const Segment& seg = segs_[static_cast<std::size_t>(seg_id)];
     const CooSpan segment = t_.subspan(seg.begin, seg.end);
-    const TensorFeatures& feat =
-        sp_.plan.features[static_cast<std::size_t>(seg_id)];
     HostExecParams kexec = host_exec_;
-    kexec.features = &feat;
+    kexec.features = &feats_[static_cast<std::size_t>(seg_id)];
     mttkrp_exec(segment, factors_, mode_, target, kexec);
   }
 
@@ -341,6 +323,8 @@ class DeviceDriver {
   gpusim::SimDevice& dev_;
   const ShardPlan& sp_;
   const DeviceShard& sh_;
+  const std::vector<Segment>& segs_;
+  const std::vector<TensorFeatures>& feats_;
   const CooSpan& t_;
   const FactorList& factors_;
   const order_t mode_;
@@ -363,53 +347,52 @@ class DeviceDriver {
 
 }  // namespace
 
-MultiPipelineResult MultiPipelineExecutor::run(const CooSpan& t,
-                                               const FactorList& factors,
-                                               order_t mode,
-                                               const ExecConfig& cfg) {
+MultiPipelineResult run_shard_plan(gpusim::DeviceGroup& group,
+                                   const ShardPlan& plan, const CooSpan& t,
+                                   const FactorList& factors,
+                                   const ExecConfig& cfg) {
+  const order_t mode = plan.plan.mode();
   const index_t rank = check_factors(t, factors);
   SF_CHECK(t.is_sorted_by_mode(mode),
            "multi-device pipeline requires mode-sorted input");
   CooSpan view = t;
   view.assume_sorted_by(mode);
   cfg.validate();
-  SF_CHECK(cfg.num_devices == group_->size(),
+  SF_CHECK(cfg.num_devices == group.size(),
            "ExecConfig::devices must match the DeviceGroup size");
-  SF_CHECK(cfg.hybrid_cpu_threshold == 0,
-           "the CPU hybrid split is single-device only — use "
-           "PipelineExecutor for ExecConfig::hybrid_threshold > 0");
+  SF_CHECK(static_cast<int>(plan.shards.size()) == group.size() &&
+               plan.plan.partition.gpu_whole &&
+               plan.plan.fits(view.nnz(), rank),
+           "shard plan does not match this replay: it needs one shard per "
+           "device of the group and the view and rank it was built for");
 
   MultiPipelineResult res;
   res.output = DenseMatrix(t.dim(mode), rank);
+  res.plan = plan;
+  res.pred_imbalance = plan.pred_time_imbalance();
   obs::MetricsRegistry* const met = cfg.metrics_sink;
   const HostExecParams host_exec = cfg.host_for_run();
-  const int n_dev = group_->size();
-
-  std::optional<obs::MetricsRegistry::ScopedSpan> plan_span;
-  if (met != nullptr) plan_span.emplace(*met, "host/shard_planning");
-  res.plan = make_shard_plan(*group_, view, mode, rank, cfg, selector_);
-  plan_span.reset();
-  res.pred_imbalance = res.plan.pred_time_imbalance();
+  const int n_dev = group.size();
+  const std::vector<Segment>& segs = plan.plan.segments.segments;
 
   res.devices.resize(static_cast<std::size_t>(n_dev));
-  group_->reset_timelines();
+  group.reset_timelines();
 
   // --- per-device pipelines, one driver thread each --------------------
   // The SimDevice simulators are independent, so the shard timelines
   // advance truly concurrently; the host engine under each functional
   // kernel is safe to enter from several driver threads at once.
   StealScheduler sched(n_dev);
-  sched.stealable.assign(res.plan.plan.size(), 1);
+  sched.stealable.assign(segs.size(), 1);
   {
     // A shared slice between consecutive non-empty segments pins both
     // to their owners (see StealScheduler::stealable).
     std::size_t prev = 0;
     bool have_prev = false;
-    for (std::size_t i = 0; i < res.plan.plan.size(); ++i) {
-      const Segment& s = res.plan.plan.segments[i];
+    for (std::size_t i = 0; i < segs.size(); ++i) {
+      const Segment& s = segs[i];
       if (s.nnz() == 0) continue;
-      if (have_prev &&
-          res.plan.plan.segments[prev].last_slice == s.first_slice) {
+      if (have_prev && segs[prev].last_slice == s.first_slice) {
         sched.stealable[prev] = 0;
         sched.stealable[i] = 0;
       }
@@ -425,16 +408,12 @@ MultiPipelineResult MultiPipelineExecutor::run(const CooSpan& t,
   threads.reserve(static_cast<std::size_t>(n_dev));
   for (int d = 0; d < n_dev; ++d) {
     const auto du = static_cast<std::size_t>(d);
-    const DeviceShard& sh = res.plan.shards[du];
-    DeviceRunStats& stat = res.devices[du];
-    stat.device = d;
-    stat.segments = sh.num_segments();
-    stat.nnz = sh.nnz;
-    stat.selection_seconds = sh.selection_seconds;
+    const DeviceShard& sh = plan.shards[du];
+    res.devices[du].device = d;
     // Queue only real segments: zero-nnz ones are not worth issuing or
     // stealing (PR 4 skipped them too).
     for (int i = sh.seg_begin; i < sh.seg_end; ++i) {
-      if (res.plan.plan.segments[static_cast<std::size_t>(i)].nnz() > 0) {
+      if (segs[static_cast<std::size_t>(i)].nnz() > 0) {
         sched.queue[du].push_back(i);
       }
     }
@@ -446,7 +425,7 @@ MultiPipelineResult MultiPipelineExecutor::run(const CooSpan& t,
     }
     if (!sh.empty()) partials[du] = DenseMatrix(t.dim(mode), rank);
     drivers[du] = std::make_unique<DeviceDriver>(
-        d, group_->device(d), res.plan, view, factors, mode, rank, cfg,
+        d, group.device(d), plan, view, factors, cfg,
         host_exec, sh.empty() ? nullptr : &partials[du], sched);
   }
   for (int d = 0; d < n_dev; ++d) {
@@ -476,7 +455,7 @@ MultiPipelineResult MultiPipelineExecutor::run(const CooSpan& t,
     st.stolen_segments = drivers[du]->stolen_segments;
     st.stolen_nnz = drivers[du]->stolen_nnz;
     if (drivers[du]->executed()) {
-      st.breakdown = group_->device(d).breakdown();
+      st.breakdown = group.device(d).breakdown();
     }
   }
 
@@ -488,24 +467,16 @@ MultiPipelineResult MultiPipelineExecutor::run(const CooSpan& t,
   // Simulated: contiguous mode-sorted shards own disjoint slice
   // ranges, so a shard's rows gather via its own D2H; only slices
   // split across a shard boundary need the cross-device collective.
-  std::vector<int> seg_owner(res.plan.plan.size(), 0);
-  for (const auto& sh : res.plan.shards) {
-    for (int i = sh.seg_begin; i < sh.seg_end; ++i) {
-      seg_owner[static_cast<std::size_t>(i)] = sh.device;
-    }
-  }
   const index_t out_cols = res.output.cols();
   std::size_t boundary_rows = 0;
   std::vector<std::pair<int, int>> boundaries;  // (left dev, right dev)
   {
     const DeviceShard* prev = nullptr;
-    for (const auto& sh : res.plan.shards) {
+    for (const auto& sh : plan.shards) {
       if (sh.empty()) continue;
       if (prev != nullptr) {
-        const auto& first =
-            res.plan.plan.segments[static_cast<std::size_t>(sh.seg_begin)];
-        const auto& last = res.plan.plan.segments[static_cast<std::size_t>(
-            prev->seg_end - 1)];
+        const auto& first = segs[static_cast<std::size_t>(sh.seg_begin)];
+        const auto& last = segs[static_cast<std::size_t>(prev->seg_end - 1)];
         if (first.first_slice == last.last_slice) {
           ++boundary_rows;
           boundaries.emplace_back(prev->device, sh.device);
@@ -517,11 +488,12 @@ MultiPipelineResult MultiPipelineExecutor::run(const CooSpan& t,
   int active = 0;
   for (int d = 0; d < n_dev; ++d) {
     const auto du = static_cast<std::size_t>(d);
-    if (res.plan.shards[du].empty()) continue;
+    const DeviceShard& sh = plan.shards[du];
+    if (sh.empty()) continue;
     ++active;
     DenseMatrix& p = partials[du];
     for (const auto& [seg_id, m] : sched.scratch) {
-      if (seg_owner[static_cast<std::size_t>(seg_id)] != d) continue;
+      if (seg_id < sh.seg_begin || seg_id >= sh.seg_end) continue;
       value_t* dst = p.data();
       const value_t* src = m.data();
       for (std::size_t i = 0; i < p.size(); ++i) dst[i] += src[i];
@@ -533,11 +505,8 @@ MultiPipelineResult MultiPipelineExecutor::run(const CooSpan& t,
 
   // Per-shard data-ready times: a shard's rows are complete when every
   // device that executed one of its segments has drained its timeline.
-  std::vector<sim_ns> ready(static_cast<std::size_t>(n_dev), 0);
-  for (int d = 0; d < n_dev; ++d) {
-    const auto du = static_cast<std::size_t>(d);
-    ready[du] = res.devices[du].total_ns;
-  }
+  std::vector<sim_ns> ready;
+  for (const auto& st : res.devices) ready.push_back(st.total_ns);
   for (const auto& s : res.steals) {
     auto& r = ready[static_cast<std::size_t>(s.victim)];
     r = std::max(r,
@@ -548,13 +517,13 @@ MultiPipelineResult MultiPipelineExecutor::run(const CooSpan& t,
       boundary_rows * static_cast<std::size_t>(out_cols) * sizeof(value_t);
   res.reduce_schedule = cfg.reduce_schedule
                             ? *cfg.reduce_schedule
-                            : group_->pick_schedule(reduce_bytes);
+                            : group.pick_schedule(reduce_bytes);
   for (const auto& st : res.devices) {
     res.compute_ns = std::max(res.compute_ns, st.total_ns);
   }
   const sim_ns barrier_reduce =
       (active > 1 && reduce_bytes > 0)
-          ? group_->reduce_ns(reduce_bytes, res.reduce_schedule)
+          ? group.reduce_ns(reduce_bytes, res.reduce_schedule)
           : 0;
   if (!cfg.overlap_reduction || barrier_reduce == 0) {
     // Barrier mode: the PR 4 accounting, one collective after the
@@ -573,7 +542,7 @@ MultiPipelineResult MultiPipelineExecutor::run(const CooSpan& t,
     sim_ns end_max = 0;
     sim_ns work = 0;
     for (const auto& [left, right] : boundaries) {
-      const sim_ns cost = group_->hop_ns(chunk_bytes);
+      const sim_ns cost = group.hop_ns(chunk_bytes);
       const sim_ns start =
           std::max({ready[static_cast<std::size_t>(left)],
                     ready[static_cast<std::size_t>(right)], link_free});
@@ -590,8 +559,7 @@ MultiPipelineResult MultiPipelineExecutor::run(const CooSpan& t,
   if (met != nullptr) {
     met->count("multidev/runs");
     met->set("multidev/devices", static_cast<double>(n_dev));
-    met->set("multidev/segments",
-             static_cast<double>(res.plan.plan.size()));
+    met->set("multidev/segments", static_cast<double>(segs.size()));
     met->set("multidev/compute_ns", static_cast<double>(res.compute_ns));
     met->set("multidev/reduce_ns", static_cast<double>(res.reduce_ns));
     met->set("multidev/total_ns", static_cast<double>(res.total_ns));
@@ -602,20 +570,22 @@ MultiPipelineResult MultiPipelineExecutor::run(const CooSpan& t,
              static_cast<double>(res.overlap_saved_ns));
     met->count("multidev/steals", res.steals.size());
     met->set("multidev/max_shard_pred_ns",
-             static_cast<double>(res.plan.max_shard_pred_ns()));
+             static_cast<double>(plan.max_shard_pred_ns()));
     met->set(std::string("multidev/reduce_schedule_") +
                  gpusim::reduce_schedule_name(res.reduce_schedule),
              1.0);
     for (int d = 0; d < n_dev; ++d) {
-      const auto& st = res.devices[static_cast<std::size_t>(d)];
+      const auto du = static_cast<std::size_t>(d);
+      const auto& st = res.devices[du];
       const std::string prefix = "gpu" + std::to_string(d);
-      met->set("multidev/" + prefix + "/nnz", static_cast<double>(st.nnz));
+      met->set("multidev/" + prefix + "/nnz",
+               static_cast<double>(plan.shards[du].nnz));
       met->set("multidev/" + prefix + "/makespan_ns",
                static_cast<double>(st.total_ns));
       met->set("multidev/" + prefix + "/stolen_segments",
                static_cast<double>(st.stolen_segments));
       if (st.total_ns > 0) {
-        gpusim::record_timeline(group_->device(d), *met, prefix);
+        gpusim::record_timeline(group.device(d), *met, prefix);
       }
     }
   }
@@ -627,8 +597,9 @@ MultiPipelineResult run_multi_pipeline(gpusim::DeviceGroup& group,
                                        const FactorList& factors, order_t mode,
                                        const ExecConfig& cfg,
                                        const LaunchSelector* selector) {
-  MultiPipelineExecutor exec(group, selector);
-  return exec.run(t, factors, mode, cfg);
+  const index_t rank = check_factors(t, factors);
+  const ShardPlan plan = make_shard_plan(group, t, mode, rank, cfg, selector);
+  return run_shard_plan(group, plan, t, factors, cfg);
 }
 
 }  // namespace scalfrag

@@ -1,12 +1,13 @@
 #pragma once
-// Multi-device sharded pipeline executor. Each device in a
-// gpusim::DeviceGroup runs its shard of the global segment plan as an
-// independent pipelined timeline (its own streams, its own H2D/kernel
-// overlap), driven by a real host thread per device — the SimDevice
-// simulators are independent, so the per-device timelines advance
-// concurrently exactly like N GPUs would.
+// Multi-device sharded pipeline executor. run_shard_plan replays a
+// ShardPlan (shard.hpp) like PipelineExecutor::run replays a
+// PipelinePlan: each device in a gpusim::DeviceGroup runs its shard as
+// an independent pipelined timeline (its own streams, its own
+// H2D/kernel overlap), driven by a real host thread per device — the
+// SimDevice simulators are independent, so the per-device timelines
+// advance concurrently exactly like N GPUs would.
 //
-// On top of the PR 4 barrier design this executor adds (docs/multidev.md):
+// On top of a barrier design the replay adds (docs/multidev.md):
 //  * work stealing (ExecConfig::work_stealing): a device that drains
 //    its shard takes whole segments from the tail of the most-loaded
 //    predicted timeline. Only segments whose slice range is not shared
@@ -50,13 +51,10 @@ struct StealRecord {
 /// Per-device slice of a multi-device run's report.
 struct DeviceRunStats {
   int device = 0;
-  int segments = 0;       // segments owned by the shard plan
-  nnz_t nnz = 0;          // nnz owned by the shard plan
   int stolen_segments = 0;  // segments this device stole and executed
   nnz_t stolen_nnz = 0;
   sim_ns total_ns = 0;  // this device's timeline makespan (0 if idle)
   gpusim::TimelineBreakdown breakdown;
-  double selection_seconds = 0.0;
 };
 
 struct MultiPipelineResult {
@@ -80,32 +78,24 @@ struct MultiPipelineResult {
   double pred_imbalance = 1.0;
 };
 
-class MultiPipelineExecutor {
- public:
-  /// `selector` may be null — launch prediction then falls back to the
-  /// static heuristic per shard.
-  explicit MultiPipelineExecutor(gpusim::DeviceGroup& group,
-                                 const LaunchSelector* selector = nullptr)
-      : group_(&group), selector_(selector) {}
+/// Replay `plan` on `group` for `t`, the mode-sorted view it was built
+/// from (ModeViews::view(mode) plugs in zero-copy). Throws when the
+/// group size, ExecConfig::num_devices, the factors' rank or the view's
+/// nnz do not match the plan. A thief launches a stolen segment by
+/// choose_launch for its own device, without the selector. All device
+/// timelines are reset at entry.
+MultiPipelineResult run_shard_plan(gpusim::DeviceGroup& group,
+                                   const ShardPlan& plan, const CooSpan& t,
+                                   const FactorList& factors,
+                                   const ExecConfig& cfg = {});
 
-  /// Run one sharded mode-`mode` MTTKRP. `t` is a mode-sorted view (a
-  /// CooTensor converts implicitly; ModeViews::view(mode) plugs in
-  /// zero-copy). ExecConfig::num_devices must match the group size;
-  /// hybrid CPU offload is single-device only (ExecConfig::validate
-  /// rejects it). All device timelines are reset at entry.
-  MultiPipelineResult run(const CooSpan& t, const FactorList& factors,
-                          order_t mode, const ExecConfig& cfg = {});
-
- private:
-  gpusim::DeviceGroup* group_;
-  const LaunchSelector* selector_;
-};
-
-/// Canonical free-function driver, mirroring run_pipeline.
+/// Canonical free-function driver, mirroring run_pipeline: build the
+/// ShardPlan, then replay it.
 MultiPipelineResult run_multi_pipeline(gpusim::DeviceGroup& group,
                                        const CooSpan& t,
                                        const FactorList& factors, order_t mode,
                                        const ExecConfig& cfg = {},
-                                       const LaunchSelector* selector = nullptr);
+                                       const LaunchSelector* selector =
+                                           nullptr);
 
 }  // namespace scalfrag

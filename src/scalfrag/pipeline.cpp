@@ -5,13 +5,31 @@
 #include <optional>
 
 #include "gpusim/sim_metrics.hpp"
+#include "gpusim/transfer.hpp"
 #include "parti/parti_kernel.hpp"
 
 namespace scalfrag {
 
+namespace {
+
+/// `lc` with shared memory sized for `rank` when `use_shared_mem`.
+gpusim::LaunchConfig sized(gpusim::LaunchConfig lc, index_t rank,
+                           bool use_shared_mem) {
+  if (use_shared_mem) lc.shmem_per_block = kernel_shmem_bytes(lc.block, rank);
+  return lc;
+}
+
+/// The ParTI-style static launch for `nnz` entries on `spec`.
+gpusim::LaunchConfig static_launch(const gpusim::DeviceSpec& spec, nnz_t nnz,
+                                   index_t rank, bool use_shared_mem) {
+  return sized(parti::default_launch(spec, nnz), rank, use_shared_mem);
+}
+
+}  // namespace
+
 int auto_segment_count(const gpusim::SimDevice& dev, const CooSpan& t,
                        order_t mode, index_t rank, const ExecConfig& cfg,
-                       const TensorFeatures* whole) {
+                       const TensorFeatures& whole) {
   if (t.nnz() == 0) return 1;
   // Pick the k ∈ [1, 8] minimizing the predicted makespan of a k-deep
   // pipeline. Splitting pays (k−1) extra PCIe setups and extra kernel
@@ -26,17 +44,10 @@ int auto_segment_count(const gpusim::SimDevice& dev, const CooSpan& t,
   const double launch = spec.kernel_launch_us * 1e3;
   const double wire =
       static_cast<double>(t.bytes()) / spec.pcie_bandwidth_gbps;
-  TensorFeatures scratch;
-  if (whole == nullptr) {
-    scratch = TensorFeatures::extract(t, mode);  // the O(nnz) rescan
-    whole = &scratch;
-  }
-  gpusim::LaunchConfig probe = parti::default_launch(spec, t.nnz());
-  if (cfg.use_shared_mem) {
-    probe.shmem_per_block = kernel_shmem_bytes(probe.block, rank);
-  }
+  const gpusim::LaunchConfig probe =
+      static_launch(spec, t.nnz(), rank, cfg.use_shared_mem);
   const double kernel_work = static_cast<double>(dev.cost_model().kernel_ns(
-      probe, mttkrp_profile(*whole, rank, cfg.use_shared_mem)));
+      probe, mttkrp_profile(whole, rank, cfg.use_shared_mem)));
 
   int best_k = 1;
   double best = std::numeric_limits<double>::infinity();
@@ -53,6 +64,47 @@ int auto_segment_count(const gpusim::SimDevice& dev, const CooSpan& t,
   return best_k;
 }
 
+gpusim::LaunchConfig choose_launch(const gpusim::SimDevice& dev,
+                                   const TensorFeatures& feat, index_t rank,
+                                   const ExecConfig& cfg,
+                                   const LaunchSelector* selector,
+                                   double* selection_seconds) {
+  if (cfg.launch_override) {
+    return sized(*cfg.launch_override, rank, cfg.use_shared_mem);
+  }
+  const gpusim::LaunchConfig launch =
+      static_launch(dev.spec(), feat.nnz, rank, cfg.use_shared_mem);
+  if (!cfg.adaptive_launch || selector == nullptr) return launch;
+  // Tree extrapolation can misfire badly on segment shapes the corpus
+  // lacks: never choose a launch the cost model prices slower.
+  const Selection sel = selector->select(feat);
+  if (selection_seconds != nullptr) {
+    *selection_seconds += sel.inference_seconds;
+  }
+  const gpusim::LaunchConfig cand = sized(sel.config, rank, cfg.use_shared_mem);
+  const gpusim::KernelProfile prof =
+      mttkrp_profile(feat, rank, cfg.use_shared_mem);
+  const auto& cm = dev.cost_model();
+  return cm.kernel_ns(cand, prof) < cm.kernel_ns(launch, prof) ? cand
+                                                                : launch;
+}
+
+sim_ns predict_segment_ns(const gpusim::SimDevice& dev,
+                          const gpusim::LaunchConfig& launch,
+                          const TensorFeatures& feat, index_t rank,
+                          bool use_shared_mem, std::size_t bytes) {
+  const sim_ns kern = dev.cost_model().kernel_ns(
+      launch, mttkrp_profile(feat, rank, use_shared_mem));
+  return std::max(kern, gpusim::transfer_ns(dev.spec(), bytes));
+}
+
+bool PipelinePlan::fits(nnz_t nnz, index_t r) const noexcept {
+  const nnz_t planned_gpu = size() == 0 ? 0 : segments.segments.back().end;
+  return r == rank && launches.size() == size() &&
+         planned_gpu == partition.gpu_nnz &&
+         partition.gpu_nnz + partition.cpu_nnz == nnz;
+}
+
 gpusim::StreamId PipelineExecutor::stream(int i) {
   while (static_cast<int>(pool_.size()) <= i) {
     pool_.push_back(dev_->create_stream());
@@ -60,10 +112,9 @@ gpusim::StreamId PipelineExecutor::stream(int i) {
   return pool_[i];
 }
 
-PipelinePlan make_pipeline_plan(const gpusim::SimDevice& dev,
-                                const CooSpan& t, order_t mode,
-                                index_t rank, const ExecConfig& cfg,
-                                const LaunchSelector* selector) {
+PipelinePlan plan_segments(const gpusim::SimDevice& dev, const CooSpan& t,
+                           order_t mode, index_t rank, const ExecConfig& cfg,
+                           std::optional<TensorFeatures>* whole) {
   SF_CHECK(rank > 0, "rank must be positive");
   SF_CHECK(t.is_sorted_by_mode(mode), "pipeline requires mode-sorted input");
   // Sortedness is established once; the hinted copy makes every
@@ -71,9 +122,6 @@ PipelinePlan make_pipeline_plan(const gpusim::SimDevice& dev,
   CooSpan view = t;
   view.assume_sorted_by(mode);
   cfg.validate();
-  SF_CHECK(cfg.num_devices == 1,
-           "pipeline plans are single-device; use MultiPipelineExecutor "
-           "for ExecConfig::devices > 1");
 
   obs::MetricsRegistry* const met = cfg.metrics_sink;
   PipelinePlan plan;
@@ -105,43 +153,53 @@ PipelinePlan make_pipeline_plan(const gpusim::SimDevice& dev,
     std::optional<obs::MetricsRegistry::ScopedSpan> span;
     if (met != nullptr) span.emplace(*met, "host/segmentation");
     if (want_segments == 0) {
-      const TensorFeatures whole = TensorFeatures::extract(gpu_view, mode);
+      std::optional<TensorFeatures> local;
+      std::optional<TensorFeatures>& feat = whole != nullptr ? *whole : local;
+      feat.emplace(TensorFeatures::extract(gpu_view, mode));
       want_segments =
-          auto_segment_count(dev, gpu_view, mode, rank, cfg, &whole);
+          auto_segment_count(dev, gpu_view, mode, rank, cfg, *feat) *
+          cfg.num_devices;
     }
+    want_segments = std::max(want_segments, cfg.num_devices);
     plan.segments = make_segments(gpu_view, mode, want_segments,
                                   /*align_to_slices=*/true,
                                   /*with_features=*/true);
   }
-
-  // --- launch selection -------------------------------------------------
-  plan.launches.reserve(plan.segments.size());
-  for (std::size_t i = 0; i < plan.segments.size(); ++i) {
-    const Segment& seg = plan.segments.segments[i];
-    gpusim::LaunchConfig launch;
-    if (seg.nnz() == 0) {
-      plan.launches.push_back(launch);
-      continue;
-    }
-    if (cfg.launch_override) {
-      launch = *cfg.launch_override;
-    } else if (cfg.adaptive_launch && selector != nullptr) {
-      const Selection sel = selector->select(plan.segments.features[i]);
-      launch = sel.config;
-      plan.selection_seconds += sel.inference_seconds;
-    } else {
-      launch = parti::default_launch(dev.spec(), seg.nnz());
-    }
-    if (cfg.use_shared_mem) {
-      launch.shmem_per_block = kernel_shmem_bytes(launch.block, rank);
-    }
-    plan.launches.push_back(launch);
-  }
   if (met != nullptr) {
     met->count("pipeline/segments_requested",
                static_cast<std::uint64_t>(want_segments));
-    met->set("pipeline/selection_seconds", plan.selection_seconds);
   }
+  return plan;
+}
+
+void plan_launches(PipelinePlan& plan,
+                   const std::vector<const gpusim::SimDevice*>& owner,
+                   const ExecConfig& cfg, const LaunchSelector* selector) {
+  SF_CHECK(owner.size() == plan.size(), "one owner device per segment");
+  plan.launches.assign(plan.size(), gpusim::LaunchConfig{});
+  plan.selection_seconds = 0.0;
+  for (std::size_t i = 0; i < plan.size(); ++i) {
+    if (plan.segments.segments[i].nnz() == 0) continue;
+    plan.launches[i] =
+        choose_launch(*owner[i], plan.segments.features[i], plan.rank, cfg,
+                      selector, &plan.selection_seconds);
+  }
+  if (cfg.metrics_sink != nullptr) {
+    cfg.metrics_sink->set("pipeline/selection_seconds",
+                          plan.selection_seconds);
+  }
+}
+
+PipelinePlan make_pipeline_plan(const gpusim::SimDevice& dev,
+                                const CooSpan& t, order_t mode,
+                                index_t rank, const ExecConfig& cfg,
+                                const LaunchSelector* selector) {
+  SF_CHECK(cfg.num_devices == 1,
+           "pipeline plans are single-device; use make_shard_plan for "
+           "ExecConfig::devices > 1");
+  PipelinePlan plan = plan_segments(dev, t, mode, rank, cfg);
+  plan_launches(plan, std::vector<const gpusim::SimDevice*>(plan.size(), &dev),
+                cfg, selector);
   return plan;
 }
 
@@ -156,21 +214,13 @@ PipelineResult PipelineExecutor::run(const PipelinePlan& plan,
   view.assume_sorted_by(mode);
   opt.validate();
   SF_CHECK(opt.num_devices == 1,
-           "PipelineExecutor is single-device; use MultiPipelineExecutor "
-           "for ExecConfig::devices > 1");
+           "PipelineExecutor is single-device; use run_shard_plan for "
+           "ExecConfig::devices > 1");
   SF_CHECK(opt.backend_name == "coo",
            "ExecConfig names backend \"" + opt.backend_name +
                "\" but was routed to the COO pipeline — dispatch through "
                "run_mttkrp_backend (scalfrag/backend_registry.hpp)");
-  // A plan is only valid for the view it was built from: one launch per
-  // realized segment, segments covering the GPU share, shares covering
-  // the view.
-  const nnz_t planned_gpu =
-      plan.segments.size() == 0 ? 0 : plan.segments.segments.back().end;
-  SF_CHECK(rank == plan.rank &&
-               plan.launches.size() == plan.segments.size() &&
-               planned_gpu == plan.partition.gpu_nnz &&
-               plan.partition.gpu_nnz + plan.partition.cpu_nnz == view.nnz(),
+  SF_CHECK(plan.fits(view.nnz(), rank),
            "pipeline plan does not match this replay: it needs one launch "
            "per realized segment and the view and rank it was built for");
   const CooSpan gpu_view = plan.partition.gpu_view(view);

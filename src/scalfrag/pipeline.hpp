@@ -8,18 +8,24 @@
 // selector.
 //
 // Planning and execution are split. make_pipeline_plan does everything
-// that depends only on the tensor — the hybrid partition, the
-// slice-aligned segmentation with per-segment features, and one final
-// launch per segment — and returns a PipelinePlan. PipelineExecutor::run
-// replays a plan: it never segments or selects. run_pipeline does both
-// for call sites that run once; MttkrpPlan keeps one PipelinePlan per
-// mode and replays it every iteration.
+// that depends only on the tensor and returns a PipelinePlan, in the two
+// stages the multi-device planner (shard.hpp) shares: plan_segments
+// (hybrid partition, slice-aligned segments with per-segment features)
+// and plan_launches (one final launch per segment, by the one rule of
+// choose_launch: override, else the selector's pick if the cost model
+// prices it below the static launch, else the static launch).
+// PipelineExecutor::run replays a plan: it never segments or selects.
+// run_pipeline does both for call sites that run once; MttkrpPlan keeps
+// one PipelinePlan per mode and replays it every iteration.
 //
 // Configuration is one ExecConfig (exec_config.hpp) shared with every
 // other driver. Plan-time fields (segments, shared memory, launch
 // choice, hybrid threshold) are read by make_pipeline_plan; a replay
 // reads only the run-time fields (streams, CPU spec, host engine,
 // metrics sink).
+
+#include <optional>
+#include <vector>
 
 #include "gpusim/engine.hpp"
 #include "obs/metrics.hpp"
@@ -47,19 +53,58 @@ struct PipelinePlan {
   double selection_seconds = 0.0;  // host time spent in the selector
 
   order_t mode() const noexcept { return segments.mode; }
+  std::size_t size() const noexcept { return segments.size(); }
+  /// Whether it replays a view of `nnz` entries at rank `r`: one launch
+  /// per segment, segments and shares covering the view.
+  bool fits(nnz_t nnz, index_t r) const noexcept;
 };
 
 /// Build the plan for a mode-`mode` MTTKRP of the mode-sorted view `t`
-/// at rank `rank`. Launch precedence per segment: cfg.launch_override,
-/// then the adaptive selector (when cfg.adaptive_launch and `selector`
-/// is non-null), then the ParTI-style static heuristic. Records the
-/// build-time metrics (host/partition, host/segmentation,
-/// pipeline/segments_requested, pipeline/selection_seconds) into
-/// cfg.metrics_sink.
+/// at rank `rank` on one device: plan_segments, then plan_launches with
+/// `dev` owning every segment. Records the build-time metrics
+/// (host/partition, host/segmentation, pipeline/segments_requested,
+/// pipeline/selection_seconds) into cfg.metrics_sink.
 PipelinePlan make_pipeline_plan(const gpusim::SimDevice& dev,
                                 const CooSpan& t, order_t mode,
                                 index_t rank, const ExecConfig& cfg = {},
                                 const LaunchSelector* selector = nullptr);
+
+/// First planning stage, for any device count: the hybrid partition and
+/// the segments, launches left empty. Segment count: cfg.num_segments,
+/// else the auto rule on `dev` times cfg.num_devices; never fewer than
+/// cfg.num_devices. Hands the whole-tensor features back in `*whole`
+/// when the auto rule extracted them. Records host/partition,
+/// host/segmentation and pipeline/segments_requested.
+PipelinePlan plan_segments(const gpusim::SimDevice& dev, const CooSpan& t,
+                           order_t mode, index_t rank, const ExecConfig& cfg,
+                           std::optional<TensorFeatures>* whole = nullptr);
+
+/// Second planning stage: one launch per segment of `plan`, chosen by
+/// choose_launch for `owner[i]`, the device segment i runs on. Empty
+/// segments get a zero launch. Records pipeline/selection_seconds.
+void plan_launches(PipelinePlan& plan,
+                   const std::vector<const gpusim::SimDevice*>& owner,
+                   const ExecConfig& cfg, const LaunchSelector* selector);
+
+/// The launch rule for a segment with features `feat` on `dev`:
+/// cfg.launch_override; else the selector's pick (cfg.adaptive_launch
+/// and a selector given), kept only when dev's cost model prices it
+/// strictly below the static launch; else the ParTI-style static
+/// launch. Shared memory is sized for `rank` when cfg.use_shared_mem.
+/// Adds the selector's inference time to `*selection_seconds`.
+gpusim::LaunchConfig choose_launch(const gpusim::SimDevice& dev,
+                                   const TensorFeatures& feat, index_t rank,
+                                   const ExecConfig& cfg,
+                                   const LaunchSelector* selector = nullptr,
+                                   double* selection_seconds = nullptr);
+
+/// Predicted time of one pipelined segment on `dev`: the slower of its
+/// kernel under `launch` and its H2D copy of `bytes` (the pipeline
+/// overlaps the two).
+sim_ns predict_segment_ns(const gpusim::SimDevice& dev,
+                          const gpusim::LaunchConfig& launch,
+                          const TensorFeatures& feat, index_t rank,
+                          bool use_shared_mem, std::size_t bytes);
 
 struct PipelineResult {
   DenseMatrix output;
@@ -82,13 +127,11 @@ struct PipelineResult {
 };
 
 /// The auto-segmentation rule (ExecConfig::num_segments == 0): pick the
-/// k ∈ [1, 8] minimizing the predicted pipelined makespan. Shared with
-/// the multi-device shard planner. `whole` may pass the tensor's
-/// precomputed features; when null they are extracted here (an O(nnz)
-/// rescan hot callers should avoid).
+/// k ∈ [1, 8] minimizing the predicted pipelined makespan of `t`, whose
+/// features are `whole`, on one device.
 int auto_segment_count(const gpusim::SimDevice& dev, const CooSpan& t,
                        order_t mode, index_t rank, const ExecConfig& cfg,
-                       const TensorFeatures* whole = nullptr);
+                       const TensorFeatures& whole);
 
 class PipelineExecutor {
  public:
@@ -98,8 +141,8 @@ class PipelineExecutor {
   /// CooTensor converts implicitly; ModeViews::view(mode) plugs in
   /// zero-copy). Throws when the plan's launches, nnz or rank do not
   /// match the view and factors. The device timeline is reset at entry.
-  /// ExecConfig::num_devices must be 1 here — use MultiPipelineExecutor
-  /// for sharded runs.
+  /// ExecConfig::num_devices must be 1 here — sharded plans replay
+  /// through run_shard_plan (multi_pipeline.hpp).
   PipelineResult run(const PipelinePlan& plan, const CooSpan& t,
                      const FactorList& factors, const ExecConfig& cfg = {});
 

@@ -1,10 +1,13 @@
 #pragma once
 // Multi-device sharding planner (AMPED-style scale-out of the paper's
-// pipeline): the realized single-tensor segment plan is partitioned
-// into one contiguous run of segments per device, balanced by nnz.
-// Each device then runs its shard as an independent pipelined timeline
-// and the partial outputs are reduced across the peer link
-// (gpusim::DeviceGroup models the reduction cost).
+// pipeline): a ShardPlan is a PipelinePlan cut across a DeviceGroup.
+// The single-device stages build it — plan_segments over the whole
+// tensor, then plan_launches with each segment's launch chosen for the
+// spec of the device that owns it — and the segments are partitioned
+// into one contiguous run per device. Each device replays its shard as
+// an independent pipelined timeline (run_shard_plan) and the partial
+// outputs are reduced across the peer link (gpusim::DeviceGroup models
+// the reduction cost).
 //
 // Sharding at *segment* granularity (not raw nnz ranges) keeps every
 // per-segment invariant the single-device executor relies on: cuts
@@ -17,28 +20,22 @@
 #include "gpusim/device_group.hpp"
 #include "scalfrag/autotune.hpp"
 #include "scalfrag/exec_config.hpp"
-#include "scalfrag/segmenter.hpp"
+#include "scalfrag/pipeline.hpp"
 
 namespace scalfrag {
 
-/// One device's contiguous share of the global segment plan.
+/// One device's cut of the plan: a contiguous run of its segments.
 struct DeviceShard {
   int device = 0;
-  int seg_begin = 0;  // segment-index range [seg_begin, seg_end) in the
-  int seg_end = 0;    // global ShardPlan::plan
+  int seg_begin = 0;  // segment-index range [seg_begin, seg_end) in
+  int seg_end = 0;    // ShardPlan::plan
   nnz_t begin = 0;    // entry range [begin, end) in the sorted parent
   nnz_t end = 0;
   nnz_t nnz = 0;
 
-  /// Launch config per owned segment (launches[i] drives segment
-  /// seg_begin + i), predicted with the DecisionTree selector over the
-  /// fused per-segment features when adaptive launching is on.
-  std::vector<gpusim::LaunchConfig> launches;
-  double selection_seconds = 0.0;  // host time spent in the selector
-
-  /// Cost-model-predicted time per owned segment on this device
-  /// (max of kernel and H2D, the pipelined bottleneck), aligned with
-  /// `launches`; feeds the work-stealing victim rule.
+  /// Cost-model-predicted time per owned segment on this device under
+  /// its planned launch (predict_segment_ns: max of kernel and H2D, the
+  /// pipelined bottleneck); feeds the work-stealing victim rule.
   std::vector<sim_ns> seg_pred_ns;
   /// Sum of seg_pred_ns — the shard's predicted busy time.
   sim_ns predicted_ns = 0;
@@ -51,8 +48,9 @@ struct DeviceShard {
 };
 
 struct ShardPlan {
-  order_t mode = 0;
-  SegmentPlan plan;                 // global realized segmentation
+  /// The whole tensor's plan; launches[i] was chosen for the spec of
+  /// the device that owns segment i.
+  PipelinePlan plan;
   std::vector<DeviceShard> shards;  // one per device, in device order
   /// True when cost-weighted (uneven-by-design) cuts were used; nnz
   /// balance is then *not* the quality metric — read
@@ -71,13 +69,12 @@ struct ShardPlan {
   double pred_time_imbalance() const noexcept;
 };
 
-/// Partition a mode-sorted view across `group`'s devices. Segment
-/// count: ExecConfig::num_segments when set, otherwise the
-/// single-device auto rule scaled by the device count (each device
-/// runs an auto-depth pipeline). Devices beyond the realized segment
-/// count receive empty shards. `selector` may be null — launch
-/// prediction then falls back to the static heuristic, exactly like
-/// the single-device planner.
+/// Plan a mode-`mode` MTTKRP of the mode-sorted view `t` across
+/// `group`'s devices (ExecConfig::num_devices must match; no hybrid
+/// split). Segment count as in plan_segments: the auto rule scales with
+/// the device count, and devices beyond the realized segment count get
+/// empty shards. `selector` may be null (static launches). Records the
+/// host/shard_planning span plus make_pipeline_plan's build metrics.
 ShardPlan make_shard_plan(const gpusim::DeviceGroup& group,
                           const CooSpan& t, order_t mode, index_t rank,
                           const ExecConfig& cfg,

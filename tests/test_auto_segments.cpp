@@ -30,15 +30,19 @@ TEST(AutoSegments, RuleReturnsSaneCounts) {
   // Tiny tensor → 1 segment; big tensor → several.
   CooTensor tiny = make_frostt_tensor("nips", 1.0 / 4096, 701);
   CooTensor big = make_frostt_tensor("deli-3d", 1.0 / 256, 702);
-  const int k_tiny = auto_segment_count(dev, tiny, 0, 16, opt);
-  const int k_big = auto_segment_count(dev, big, 0, 16, opt);
+  const int k_tiny = auto_segment_count(dev, tiny, 0, 16, opt,
+                                        TensorFeatures::extract(tiny, 0));
+  const int k_big = auto_segment_count(dev, big, 0, 16, opt,
+                                       TensorFeatures::extract(big, 0));
   EXPECT_GE(k_tiny, 1);
   EXPECT_LE(k_tiny, 2);
   EXPECT_GT(k_big, k_tiny);
   EXPECT_LE(k_big, 8);
 
   CooTensor empty({4, 4});
-  EXPECT_EQ(auto_segment_count(dev, empty, 0, 16, opt), 1);
+  EXPECT_EQ(auto_segment_count(dev, empty, 0, 16, opt,
+                               TensorFeatures::extract(empty, 0)),
+            1);
 }
 
 // Property over scales: the auto rule must beat (or roughly tie, the

@@ -1,7 +1,8 @@
 // Multi-device sharded pipeline tests: the DeviceGroup link cost model,
-// the contiguous nnz-balanced shard planner, and the sharded executor's
+// the contiguous nnz-balanced shard planner, the sharded replay's
 // functional + simulated semantics (deterministic reduction, makespan
-// accounting, boundary-overlap reduce payload, metrics report).
+// accounting, boundary-overlap reduce payload, metrics report), and the
+// device-group CPD that plans once per mode.
 
 #include <gtest/gtest.h>
 
@@ -9,6 +10,7 @@
 #include <cstring>
 
 #include "gpusim/device_group.hpp"
+#include "scalfrag/cpd.hpp"
 #include "scalfrag/multi_pipeline.hpp"
 #include "scalfrag/pipeline.hpp"
 #include "scalfrag/shard.hpp"
@@ -154,12 +156,13 @@ TEST(ShardPlan, EverySegmentOwnedExactlyOnceAndContiguously) {
       EXPECT_LE(sh.seg_begin, sh.seg_end);
       seg = sh.seg_end;
       nnz += sh.nnz;
-      EXPECT_EQ(static_cast<int>(sh.launches.size()), sh.num_segments());
+      EXPECT_EQ(static_cast<int>(sh.seg_pred_ns.size()), sh.num_segments());
       if (!sh.empty()) {
         EXPECT_EQ(sh.nnz, sh.end - sh.begin);
       }
     }
     EXPECT_EQ(seg, static_cast<int>(sp.plan.size()));
+    EXPECT_EQ(sp.plan.launches.size(), sp.plan.size());
     EXPECT_EQ(nnz, t.nnz());
   }
 }
@@ -172,7 +175,9 @@ TEST(ShardPlan, BalancesNnzAcrossDevices) {
   // Greedy nearest-cut against slice-snapped segments: each shard stays
   // within one realized segment of the ideal share.
   nnz_t max_seg = 0;
-  for (const auto& s : sp.plan.segments) max_seg = std::max(max_seg, s.nnz());
+  for (const auto& s : sp.plan.segments.segments) {
+    max_seg = std::max(max_seg, s.nnz());
+  }
   EXPECT_LE(sp.max_shard_nnz(), ideal + max_seg);
   for (const auto& sh : sp.shards) EXPECT_FALSE(sh.empty());
 }
@@ -204,43 +209,92 @@ TEST(ShardPlan, Validation) {
   EXPECT_THROW(make_shard_plan(g, t, 1, 8, ExecConfig{}.devices(2)), Error);
   // Once sorted, the same call plans every entry exactly once.
   t.sort_by_mode(1);
-  const ShardPlan sp = make_shard_plan(g, t, 1, 8, ExecConfig{}.devices(2));
+  const ExecConfig cfg = ExecConfig{}.devices(2);
+  const ShardPlan sp = make_shard_plan(g, t, 1, 8, cfg);
   nnz_t covered = 0;
   for (const auto& sh : sp.shards) covered += sh.nnz;
   EXPECT_EQ(covered, t.nnz());
+  // The planner needs the config's device count to be the group's.
+  EXPECT_THROW(make_shard_plan(g, t, 1, 8, ExecConfig{}.devices(3)), Error);
+
+  // A replay rejects a plan built for another group size, rank or view.
+  const auto f = random_factors(t, 8, 604);
+  EXPECT_NO_THROW(run_shard_plan(g, sp, t, f, cfg));
+  gpusim::DeviceGroup g3(kSpec, 3);
+  EXPECT_THROW(run_shard_plan(g3, sp, t, f, ExecConfig{}.devices(3)), Error);
+  EXPECT_THROW(run_shard_plan(g, sp, t, random_factors(t, 4, 605), cfg),
+               Error);
+  const CooSpan shorter = CooSpan(t).subspan(0, t.nnz() - 1);
+  EXPECT_THROW(run_shard_plan(g, sp, shorter, f, cfg), Error);
 }
 
 TEST(ShardPlan, SelectorPickIsSanityCheckedByCostModel) {
-  // With a selector, every predicted launch must cost no more than the
-  // static heuristic under the device cost model — the planner drops
-  // selector extrapolations that the model says are slower.
-  const CooTensor t = sorted_frostt("uber", 1.0 / 512, 604);
-  AutoTunerConfig tcfg;
-  tcfg.corpus_size = 16;
-  tcfg.seed = 605;
-  AutoTuner tuner(kSpec, tcfg);
-  tuner.train();
-  const LaunchSelector sel = tuner.selector();
+  // With a selector, every planned launch must cost no more than the
+  // static heuristic under its owner's cost model — for one device as
+  // for many, the planners drop selector extrapolations that the model
+  // says are slower.
+  struct Case {
+    const char* name;
+    double scale;
+    std::uint64_t seed;
+    order_t mode;
+    int devices;
+    int corpus;
+    std::uint64_t tuner_seed;
+    index_t rank;
+  };
+  // deli-4d mode 1 at 1/512 is the cpd-deli4d benchmark's input and
+  // selector, where all 8 single-device selector picks price slower.
+  // On nips at rank 64, a selector trained at rank 16 picks 1024-thread
+  // blocks whose shared memory no longer fits: an infeasible launch.
+  for (const Case& c : {Case{"uber", 1.0 / 512, 604, 0, 4, 16, 605, 16},
+                        Case{"deli-4d", 1.0 / 512, 1, 1, 1, 48, 1234, 16},
+                        Case{"nips", 1.0 / 1024, 7, 0, 1, 16, 1234, 64}}) {
+    SCOPED_TRACE(c.name);
+    const CooTensor t = sorted_frostt(c.name, c.scale, c.seed, c.mode);
+    AutoTunerConfig tcfg;
+    tcfg.corpus_size = c.corpus;
+    tcfg.seed = c.tuner_seed;
+    AutoTuner tuner(kSpec, tcfg);
+    tuner.train();
+    const LaunchSelector sel = tuner.selector();
 
-  gpusim::DeviceGroup g(kSpec, 4);
-  const ExecConfig cfg = ExecConfig{}.devices(4);
-  const ShardPlan adaptive = make_shard_plan(g, t, 0, 16, cfg, &sel);
-  ExecConfig static_cfg = cfg;
-  static_cfg.adaptive_launch = false;
-  const ShardPlan fixed = make_shard_plan(g, t, 0, 16, static_cfg, nullptr);
-
-  for (std::size_t d = 0; d < adaptive.shards.size(); ++d) {
-    const auto& dev = g.device(static_cast<int>(d));
-    const auto& a = adaptive.shards[d];
-    const auto& s = fixed.shards[d];
-    ASSERT_EQ(a.launches.size(), s.launches.size());
-    for (std::size_t i = 0; i < a.launches.size(); ++i) {
-      const auto gi = static_cast<std::size_t>(a.seg_begin) + i;
-      if (adaptive.plan.segments[gi].nnz() == 0) continue;
-      const auto prof =
-          mttkrp_profile(adaptive.plan.features[gi], 16, cfg.use_shared_mem);
-      EXPECT_LE(dev.cost_model().kernel_ns(a.launches[i], prof),
-                dev.cost_model().kernel_ns(s.launches[i], prof));
+    gpusim::DeviceGroup g(kSpec, c.devices);
+    const ExecConfig cfg = ExecConfig{}.devices(c.devices);
+    ExecConfig static_cfg = cfg;
+    static_cfg.adaptive_launch = false;
+    const ShardPlan adaptive = make_shard_plan(g, t, c.mode, c.rank, cfg, &sel);
+    const ShardPlan fixed =
+        make_shard_plan(g, t, c.mode, c.rank, static_cfg, nullptr);
+    std::vector<std::pair<const PipelinePlan*, const PipelinePlan*>> inputs{
+        {&adaptive.plan, &fixed.plan}};
+    std::vector<const gpusim::SimDevice*> owner(adaptive.plan.size());
+    for (const auto& sh : adaptive.shards) {
+      for (int i = sh.seg_begin; i < sh.seg_end; ++i) {
+        owner[static_cast<std::size_t>(i)] = &g.device(sh.device);
+      }
+    }
+    // The single-device planner on the same input.
+    PipelinePlan single_adaptive, single_fixed;
+    if (c.devices == 1) {
+      single_adaptive =
+          make_pipeline_plan(g.device(0), t, c.mode, c.rank, cfg, &sel);
+      single_fixed =
+          make_pipeline_plan(g.device(0), t, c.mode, c.rank, static_cfg);
+      inputs.emplace_back(&single_adaptive, &single_fixed);
+    }
+    for (const auto& [a, s] : inputs) {
+      ASSERT_EQ(a->launches.size(), a->size());
+      ASSERT_EQ(a->launches.size(), s->launches.size());
+      for (std::size_t i = 0; i < a->size(); ++i) {
+        if (a->segments.segments[i].nnz() == 0) continue;
+        const auto& cm = owner.at(i)->cost_model();
+        const auto prof = mttkrp_profile(a->segments.features[i], c.rank,
+                                         cfg.use_shared_mem);
+        EXPECT_LE(cm.kernel_ns(a->launches[i], prof),
+                  cm.kernel_ns(s->launches[i], prof))
+            << "segment " << i;
+      }
     }
   }
 }
@@ -296,7 +350,7 @@ TEST(ShardPlan, WeightedCutsSkewTowardFasterDevices) {
 }
 
 // ---------------------------------------------------------------------
-// MultiPipelineExecutor
+// Sharded replay (run_multi_pipeline / run_shard_plan)
 // ---------------------------------------------------------------------
 
 TEST(MultiPipeline, MatchesReferenceOnEveryDeviceCount) {
@@ -523,7 +577,7 @@ TEST(MultiPipeline, ReportsMergedMetrics) {
   EXPECT_EQ(met.gauge("multidev/total_ns"),
             static_cast<double>(res.total_ns));
   EXPECT_EQ(met.gauge("multidev/gpu0/nnz"),
-            static_cast<double>(res.devices[0].nnz));
+            static_cast<double>(res.plan.shards[0].nnz));
   EXPECT_EQ(met.gauge("multidev/imbalance"), res.pred_imbalance);
   EXPECT_EQ(met.gauge("multidev/overlap_ns"),
             static_cast<double>(res.overlap_saved_ns));
@@ -535,6 +589,33 @@ TEST(MultiPipeline, ReportsMergedMetrics) {
   // Per-device timelines land under the gpuN prefix.
   EXPECT_GT(met.counter("gpu0/kernel_launches"), 0u);
   EXPECT_GT(met.stage("gpu0/Kernel").count, 0u);
+}
+
+TEST(MultiPipeline, CpdPlansEachModeOnce) {
+  // Device-group CPD builds one ShardPlan per mode before the loop and
+  // replays it every iteration, and two solves agree bit for bit.
+  const CooTensor x = make_frostt_tensor("vast", 1.0 / 2048, 623);
+  gpusim::SimDevice dev(kSpec);
+  const ExecConfig cfg =
+      ExecConfig{}.backend("coo").rank(8).max_iters(3).tol(0.0).devices(2);
+  obs::MetricsRegistry met;
+  const CpdResult a = cpd_als(x, ExecConfig(cfg).metrics(&met), &dev);
+  EXPECT_EQ(a.iterations, 3);
+  EXPECT_EQ(met.stage("host/shard_planning").count, x.order());
+  EXPECT_EQ(met.counter("multidev/runs"),
+            static_cast<std::uint64_t>(x.order() * a.iterations));
+
+  const CpdResult b = cpd_als(x, cfg, &dev);
+  ASSERT_EQ(a.factors.size(), b.factors.size());
+  for (std::size_t m = 0; m < a.factors.size(); ++m) {
+    ASSERT_EQ(a.factors[m].size(), b.factors[m].size());
+    EXPECT_EQ(std::memcmp(a.factors[m].data(), b.factors[m].data(),
+                          a.factors[m].size() * sizeof(value_t)),
+              0)
+        << "mode " << m;
+  }
+  EXPECT_EQ(a.lambda, b.lambda);
+  EXPECT_EQ(a.fit_history, b.fit_history);
 }
 
 TEST(MultiPipeline, ValidatesConfigAgainstGroup) {

@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <vector>
 
 #include "bench_common.hpp"
 #include "common/thread_pool.hpp"
@@ -115,6 +116,9 @@ BENCHMARK(BM_SelectorInference);
 // ---------------------------------------------------------------------
 // Host-engine thread sweep → BENCH_host_mttkrp.json (schema v1).
 
+/// Interleaved scalar/SIMD run pairs per SIMD case.
+constexpr int kSimdPairs = 15;
+
 void run_host_mttkrp_sweep() {
   GeneratorConfig g;
   g.dims = {4096, 4096, 2048};
@@ -202,10 +206,13 @@ void run_host_mttkrp_sweep() {
   // SIMD microkernel speedups: the same engine forced onto the scalar
   // kernel table vs the auto-detected ISA table (src/tensor/simd/), on
   // the contiguous span (mode 0) and the gather view (mode 1), at
-  // 1/2/4 worker caps under compact pinning. A ratio of two wall
-  // clocks from the same run is stable enough to gate at 5% — but only
-  // within one ISA, so the speedups are isa_sensitive: bench_compare
-  // warns instead of gating when baseline and current ISAs differ.
+  // 1/2/4 worker caps under compact pinning. Scalar and SIMD runs are
+  // interleaved in pairs, alternating which table runs first, and the
+  // gated speedup_vs_scalar is the median of the per-pair ratios: a
+  // burst of host load or a clock change then hits both halves of a
+  // pair instead of one whole series. It is still a wall-clock ratio
+  // of one ISA, so it is isa_sensitive: bench_compare warns instead of
+  // gating when baseline and current ISAs differ.
   {
     ThreadPool::global().apply_pinning(PinPolicy::Compact);
     const HostIsa best = detect_host_isa();
@@ -235,21 +242,29 @@ void run_host_mttkrp_sweep() {
         obs::BenchCase& c = runner.with_case(
             std::string(gather ? "simd_gather_t" : "simd_ident_t") +
             std::to_string(threads));
-        const double scalar_ms =
-            c.measure("scalar_ms", "ms", obs::Direction::kInfo, policy,
-                      [&] { return run_isa(HostIsa::Scalar); })
-                .median;
-        const double simd_ms =
-            c.measure("simd_ms", "ms", obs::Direction::kInfo, policy,
-                      [&] { return run_isa(best); })
-                .median;
-        c.set("speedup_vs_scalar", scalar_ms / simd_ms, "x",
-              obs::Direction::kHigherIsBetter, /*isa_sensitive=*/true);
+        run_isa(HostIsa::Scalar);  // warm both tables
+        run_isa(best);
+        std::vector<double> scalar_ms, simd_ms, ratio;
+        for (int pair = 0; pair < kSimdPairs; ++pair) {
+          const bool scalar_first = pair % 2 == 0;
+          const double first = run_isa(scalar_first ? HostIsa::Scalar : best);
+          const double second = run_isa(scalar_first ? best : HostIsa::Scalar);
+          scalar_ms.push_back(scalar_first ? first : second);
+          simd_ms.push_back(scalar_first ? second : first);
+          ratio.push_back(scalar_ms.back() / simd_ms.back());
+          c.add_sample("scalar_ms", scalar_ms.back(), "ms",
+                       obs::Direction::kInfo);
+          c.add_sample("simd_ms", simd_ms.back(), "ms", obs::Direction::kInfo);
+          c.add_sample("speedup_vs_scalar", ratio.back(), "x",
+                       obs::Direction::kHigherIsBetter,
+                       /*isa_sensitive=*/true);
+        }
         std::printf(
             "[host_mttkrp] simd %-6s t=%-2zu scalar %8.2f ms  %s %8.2f ms "
             " %.2fx\n",
-            gather ? "gather" : "ident", threads, scalar_ms,
-            host_isa_name(best), simd_ms, scalar_ms / simd_ms);
+            gather ? "gather" : "ident", threads,
+            obs::summarize(scalar_ms).median, host_isa_name(best),
+            obs::summarize(simd_ms).median, obs::summarize(ratio).median);
       }
     }
   }

@@ -49,50 +49,4 @@ ExecResult run_mttkrp(gpusim::SimDevice& dev, const CooSpan& t,
   return res;
 }
 
-SpttmResult run_spttm(gpusim::SimDevice& dev, const CooTensor& t,
-                      const DenseMatrix& u, order_t mode) {
-  SF_CHECK(mode < t.order(), "mode out of range");
-  SF_CHECK(u.rows() == t.dim(mode), "U row count must match mode size");
-  const index_t rank = u.cols();
-
-  dev.reset_timeline();
-  gpusim::DeviceBuffer<char> d_tensor(dev.allocator(), t.bytes());
-  gpusim::DeviceBuffer<char> d_u(dev.allocator(), u.bytes());
-
-  SpttmResult res;
-  const gpusim::StreamId s = 0;
-  dev.memcpy_h2d(s, t.bytes(), nullptr, "H2D tensor");
-  dev.memcpy_h2d(s, u.bytes(), nullptr, "H2D U");
-
-  // Fiber-parallel kernel (Li et al. [20]): one thread team per mode-n
-  // fiber; traffic = COO stream + one U row per non-zero (cached per
-  // fiber) + one dense output row per fiber.
-  const TensorFeatures feat = TensorFeatures::extract(t, mode);
-  gpusim::KernelProfile prof;
-  prof.work_items = t.nnz();
-  prof.flops = spttm_flops(t, rank);
-  const std::uint64_t fbytes = sizeof(value_t) * rank;
-  prof.dram_bytes =
-      t.nnz() * (t.order() * sizeof(index_t) + sizeof(value_t)) +
-      t.nnz() * fbytes / 2 +  // U rows, fiber-level reuse
-      feat.num_fibers * fbytes;
-  prof.coalescing = 0.5;
-  prof.atomic_updates = 0;  // fiber-exclusive outputs need no atomics
-
-  const gpusim::LaunchConfig launch = default_launch(dev.spec(), t.nnz());
-  dev.launch_kernel(
-      s, launch, prof, [&] { res.output = spttm(t, u, mode); },
-      "ParTI SpTTM");
-  res.launch = launch;
-
-  // Output D2H sized after the kernel computed it (semi-sparse size is
-  // data-dependent).
-  gpusim::DeviceBuffer<char> d_out(dev.allocator(), res.output.bytes());
-  dev.memcpy_d2h(s, res.output.bytes(), nullptr, "D2H output");
-
-  res.total_ns = dev.synchronize();
-  res.breakdown = dev.breakdown();
-  return res;
-}
-
 }  // namespace scalfrag::parti

@@ -9,7 +9,6 @@
 
 #include "gpusim/engine.hpp"
 #include "parti/parti_kernel.hpp"
-#include "tensor/spttm.hpp"
 
 namespace scalfrag::parti {
 
@@ -35,18 +34,5 @@ struct ExecResult {
 ExecResult run_mttkrp(gpusim::SimDevice& dev, const CooSpan& t,
                       const FactorList& factors, order_t mode,
                       const ExecOptions& opt = {});
-
-/// ParTI's SpTTM on the simulated device (same synchronous flow):
-/// H2D tensor + U, fiber-parallel kernel, D2H of the semi-sparse
-/// result. Functional output in `result`.
-struct SpttmResult {
-  SemiSparseTensor output;
-  gpusim::LaunchConfig launch;
-  gpusim::TimelineBreakdown breakdown;
-  sim_ns total_ns = 0;
-};
-
-SpttmResult run_spttm(gpusim::SimDevice& dev, const CooTensor& t,
-                      const DenseMatrix& u, order_t mode);
 
 }  // namespace scalfrag::parti

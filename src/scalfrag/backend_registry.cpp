@@ -82,8 +82,7 @@ class CsfTiledBackend final : public MttkrpBackend {
 
 /// The ParTI baseline flow (one whole-tensor H2D + one kernel under the
 /// static default launch) — the comparison point every figure bench
-/// plots, now reachable by name so the CpdBackend::ParTI shim converts
-/// onto the registry like every other legacy enum value.
+/// plots, reachable by name like every other backend.
 class PartiBackend final : public MttkrpBackend {
  public:
   const std::string& name() const noexcept override {

@@ -10,30 +10,6 @@
 
 namespace scalfrag {
 
-const char* cpd_backend_name(CpdBackend b) {
-  switch (b) {
-    case CpdBackend::Reference:
-      return "Reference";
-    case CpdBackend::ParTI:
-      return "ParTI";
-    case CpdBackend::ScalFrag:
-      return "ScalFrag";
-  }
-  return "?";
-}
-
-const char* cpd_backend_registry_name(CpdBackend b) {
-  switch (b) {
-    case CpdBackend::Reference:
-      return "coo_host";
-    case CpdBackend::ParTI:
-      return "parti";
-    case CpdBackend::ScalFrag:
-      return "coo";
-  }
-  return "?";
-}
-
 namespace {
 
 /// V = ∘_{m≠mode} A⁽ᵐ⁾ᵀA⁽ᵐ⁾ (Algorithm 1, line 3).

@@ -9,8 +9,8 @@
 //
 // Configuration is one ExecConfig: backend by registry name, rank /
 // max_iters / tol / seed through the decomposition knobs
-// (ExecConfig::rank(r).max_iters(n).tol(t)). CpdOptions survives below
-// only as a deprecated conversion shim.
+// (ExecConfig::rank(r).max_iters(n).tol(t)). Unset knobs resolve to
+// rank 16, 10 iterations, tol 1e-4 and seed 5.
 
 #include <optional>
 
@@ -22,41 +22,6 @@
 #include "tensor/mttkrp_ref.hpp"
 
 namespace scalfrag {
-
-enum class CpdBackend { Reference, ParTI, ScalFrag };
-
-const char* cpd_backend_name(CpdBackend b);
-
-/// Registry backend name the legacy enum maps onto.
-const char* cpd_backend_registry_name(CpdBackend b);
-
-/// Legacy CPD options. Thin conversion shim: every field maps onto an
-/// ExecConfig decomposition knob (see docs/api.md). In-tree code must
-/// not use it — CI builds with -Werror=deprecated-declarations.
-struct [[deprecated(
-    "use scalfrag::ExecConfig rank()/max_iters()/tol()/seed()/nonneg() "
-    "and backend(name) (docs/api.md)")]] CpdOptions {
-  index_t rank = 16;
-  int max_iters = 10;
-  /// Stop when the fit improves by less than this between iterations.
-  double tol = 1e-4;
-  std::uint64_t seed = 5;
-  CpdBackend backend = CpdBackend::Reference;
-  /// Project factors onto the non-negative orthant after each update.
-  bool nonnegative = false;
-  ExecConfig exec;
-
-  operator ExecConfig() const {
-    ExecConfig cfg = exec;
-    cfg.backend_name = cpd_backend_registry_name(backend);
-    cfg.decomp_rank = rank;
-    cfg.decomp_max_iters = max_iters;
-    cfg.decomp_tol = tol;
-    cfg.decomp_seed = seed;
-    cfg.cpd_nonnegative = nonnegative;
-    return cfg;
-  }
-};
 
 struct CpdResult {
   FactorList factors;          // column-normalized

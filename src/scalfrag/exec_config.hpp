@@ -2,12 +2,11 @@
 // ExecConfig — the one execution-configuration surface for every
 // driver in the repository.
 //
-// Historically each layer grew its own options struct (PipelineOptions,
-// since deleted, HostExecOptions, ScalFragKernelOptions, plus
-// CpdOptions/TuckerOptions nesting copies of them). ExecConfig subsumes
-// all of them: one builder-style value that `run_pipeline`,
-// `run_hybrid` (the pipeline's hybrid split), `cpd_als`, `tucker_hooi`,
-// and the multi-device executor all accept.
+// One builder-style value that `run_pipeline`, `run_hybrid` (the
+// pipeline's hybrid split), `cpd_als`, `tucker_hooi` and the
+// multi-device executor all accept, and that a service JobSpec
+// carries. The host engine's low-level block is HostExecParams
+// (host_for_run() derives it).
 //
 //   auto cfg = scalfrag::ExecConfig{}
 //                  .devices(4)
@@ -17,9 +16,7 @@
 //
 // Fields stay public (aggregate-style reads everywhere in the
 // executors); the fluent setters exist so configs compose in one
-// expression. The remaining legacy structs survive only as
-// [[deprecated]] shims that convert to ExecConfig — see docs/api.md for
-// the migration map.
+// expression.
 
 #include <optional>
 #include <string>
@@ -114,9 +111,9 @@ struct ExecConfig {
   /// (CPD 1e-4, Tucker 1e-5); 0 is meaningful — it disables the early
   /// stop so every iteration runs.
   double decomp_tol = -1.0;
-  /// Factor-initialization seed. 0 = driver default (CPD 5, Tucker 7 —
-  /// the legacy option-struct defaults, so converted shims reproduce
-  /// legacy runs bit-for-bit).
+  /// Factor-initialization seed. 0 = driver default (CPD 5, Tucker 7).
+  /// Committed outputs and baselines depend on these defaults, and
+  /// ExecConfig.DefaultDecompositionKnobsArePinned holds them.
   std::uint64_t decomp_seed = 0;
   /// Projected ALS: clamp CPD factors to the non-negative orthant.
   bool cpd_nonnegative = false;

@@ -23,14 +23,6 @@
 
 namespace scalfrag {
 
-/// Legacy single-knob struct; the canonical entry points below take the
-/// ablation switch directly. Kept only as a deprecated shim.
-struct [[deprecated(
-    "pass use_shared_mem directly (ExecConfig::use_shared_mem)")]]
-ScalFragKernelOptions {
-  bool use_shared_mem = true;  // ablation switch
-};
-
 /// Shared memory per block for a given blockSize/rank: the times_mat
 /// tile (one F-row per thread) plus the mvals accumulation tile.
 std::size_t kernel_shmem_bytes(std::uint32_t block, index_t rank);
@@ -40,17 +32,6 @@ std::size_t kernel_shmem_bytes(std::uint32_t block, index_t rank);
 /// (ExecConfig::use_shared_mem).
 gpusim::KernelProfile mttkrp_profile(const TensorFeatures& feat, index_t rank,
                                      bool use_shared_mem = true);
-
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-/// Shim overload for the deprecated options struct.
-[[deprecated("use mttkrp_profile(feat, rank, use_shared_mem)")]]
-inline gpusim::KernelProfile mttkrp_profile(const TensorFeatures& feat,
-                                            index_t rank,
-                                            const ScalFragKernelOptions& opt) {
-  return mttkrp_profile(feat, rank, opt.use_shared_mem);
-}
-#pragma GCC diagnostic pop
 
 /// Cost-model profile of the CSF tiled kernel (fig9's CSF-tiled
 /// series). Deterministic in the tree's node counts: index traffic is

@@ -37,8 +37,6 @@
 #include "scalfrag/streaming.hpp"
 #include "scalfrag/tucker.hpp"
 #include "gpusim/energy.hpp"
-#include "tensor/arith.hpp"
-#include "tensor/bcsf.hpp"
 #include "tensor/csf.hpp"
 #include "tensor/csf_tiled.hpp"
 #include "tensor/dense_tensor.hpp"
@@ -51,6 +49,4 @@
 #include "tensor/io_tns.hpp"
 #include "tensor/linalg.hpp"
 #include "tensor/mttkrp_ref.hpp"
-#include "tensor/reorder.hpp"
-#include "tensor/spttm.hpp"
 #include "tensor/stats.hpp"

@@ -14,7 +14,7 @@
 //
 // Configuration is one ExecConfig: core dims / max_iters / tol / seed
 // through the decomposition knobs (core_dims({...}).max_iters(n)).
-// TuckerOptions survives below only as a deprecated conversion shim.
+// Unset knobs resolve to 15 iterations, tol 1e-5 and seed 7.
 
 #include "gpusim/engine.hpp"
 #include "scalfrag/exec_config.hpp"
@@ -26,30 +26,6 @@
 namespace scalfrag {
 
 class JointSelector;
-
-/// Legacy Tucker options. Thin conversion shim: every field maps onto
-/// an ExecConfig decomposition knob (see docs/api.md). In-tree code
-/// must not use it — CI builds with -Werror=deprecated-declarations.
-struct [[deprecated(
-    "use scalfrag::ExecConfig core_dims()/max_iters()/tol()/seed() "
-    "(docs/api.md)")]] TuckerOptions {
-  /// Core size per mode (rₙ); must satisfy rₙ ≤ Iₙ and
-  /// rₙ ≤ Π_{m≠n} r_m (else Wₙ cannot have rank rₙ).
-  std::vector<index_t> core_dims;
-  int max_iters = 15;
-  double tol = 1e-5;
-  std::uint64_t seed = 7;
-  ExecConfig exec;
-
-  operator ExecConfig() const {
-    ExecConfig cfg = exec;
-    cfg.tucker_core_dims = core_dims;
-    cfg.decomp_max_iters = max_iters;
-    cfg.decomp_tol = tol;
-    cfg.decomp_seed = seed;
-    return cfg;
-  }
-};
 
 struct TuckerResult {
   FactorList factors;  // orthonormal, one per mode

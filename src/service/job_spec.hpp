@@ -2,9 +2,9 @@
 // JobSpec — the serializable description of one decomposition job the
 // multi-tenant service accepts (docs/service.md has the schema).
 //
-// One config type, not three: since CpdOptions/TuckerOptions collapsed
-// into ExecConfig's decomposition knobs, a JobSpec is tensor source +
-// job kind + tenant identity + one ExecConfig. Tensor data never rides
+// One config type: a JobSpec is tensor source + job kind + tenant
+// identity + one ExecConfig (its decomposition knobs carry rank,
+// iterations, tolerance and seed). Tensor data never rides
 // in the spec — jobs name a FROSTT generator profile (name, scale,
 // seed), the same deterministic recipe every bench uses, so a spec is
 // a few hundred bytes and the service's PlanCache can key tensor

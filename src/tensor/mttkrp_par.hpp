@@ -82,12 +82,6 @@ struct HostExecParams {
   PinPolicy pinning = PinPolicy::None;
 };
 
-/// Legacy name, kept as a thin shim for out-of-tree callers. In-tree
-/// code must not use it (CI builds with -Werror=deprecated-declarations).
-using HostExecOptions
-    [[deprecated("use scalfrag::ExecConfig (docs/api.md); the low-level "
-                 "engine block is HostExecParams")]] = HostExecParams;
-
 /// check_factors against a span's shape (same contract as the
 /// CooTensor overload in mttkrp_ref.hpp). Returns the common rank F.
 index_t check_factors(const CooSpan& t, const FactorList& factors);

@@ -72,7 +72,7 @@ const std::vector<std::pair<std::string, Generator>>& registry() {
          return t;
        }},
       // One slice of mode 0 owns ~85% of all non-zeros: the
-      // load-imbalance pattern SliceOwner must refuse and B-CSF splits.
+      // load-imbalance pattern SliceOwner must refuse.
       {"mega_slice",
        [](Rng& rng, index_t m) {
          CooTensor t({10 * m, 9 * m, 8 * m});

@@ -3,8 +3,8 @@
 //
 // Each archetype is a named sparsity pattern chosen to stress a
 // structure the paper's feature extractor and kernels care about:
-// empty inputs, a single mega-slice (the load-imbalance case B-CSF
-// exists for), hypersparse mode sizes, duplicate coordinates, skewed
+// empty inputs, a single mega-slice (the slice-level load-imbalance
+// case), hypersparse mode sizes, duplicate coordinates, skewed
 // fiber lengths, singleton/boundary dimensions, unsorted entry order,
 // block-clustered locality (HiCOO's case), and low/high tensor orders.
 // Generation is fully deterministic in (name, seed, size_class) via

@@ -8,7 +8,6 @@
 #include "scalfrag/backend_registry.hpp"
 #include "scalfrag/multi_pipeline.hpp"
 #include "scalfrag/pipeline.hpp"
-#include "tensor/bcsf.hpp"
 #include "tensor/csf_tiled.hpp"
 #include "tensor/fcoo.hpp"
 #include "tensor/hicoo.hpp"
@@ -357,15 +356,6 @@ const std::vector<ExecPath>& build_table() {
           const ExecConfig cfg = ExecConfig{}.backend("auto").grain(1);
           return run_mttkrp_backend(dev, t, f, mode, cfg).output;
         });
-
-    add("bcsf", [](const CooTensor& t, const FactorList& f, order_t mode) {
-      // Cap low enough that fuzz-sized mega-slices actually split.
-      const nnz_t cap = std::max<nnz_t>(2, t.nnz() / 7);
-      const BcsfTensor bcsf = BcsfTensor::build(t, mode, cap);
-      DenseMatrix out(t.dim(mode), f[0].cols());
-      bcsf.mttkrp(f, out);
-      return out;
-    });
 
     // Blocked / flagged coordinate formats.
     add("hicoo", [](const CooTensor& t, const FactorList& f, order_t mode) {

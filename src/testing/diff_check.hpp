@@ -4,7 +4,7 @@
 //
 // The ROADMAP's "refactor hot paths fearlessly" is only safe when every
 // independently-written backend — reference COO, the parallel host
-// engine under each strategy and thread count, CSF/B-CSF/HiCOO/F-COO,
+// engine under each strategy and thread count, CSF/HiCOO/F-COO,
 // the ParTI baseline, the segmented pipeline, the CPU–GPU hybrid — is
 // mechanically checked against one oracle on the same input. New
 // kernels register here once (conformance_paths) and inherit coverage

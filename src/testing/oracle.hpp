@@ -2,7 +2,7 @@
 // Dense golden oracle for MTTKRP conformance checking.
 //
 // Every execution path in this repository (reference COO, the parallel
-// host engine's strategies, CSF/B-CSF/HiCOO/F-COO, the ParTI baseline,
+// host engine's strategies, CSF/HiCOO/F-COO, the ParTI baseline,
 // the segmented pipeline, the CPU–GPU hybrid) computes the same
 // mathematical object:
 //

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "tensor/coo.hpp"
 #include "tensor/generator.hpp"
 
@@ -79,6 +81,15 @@ TEST(CooTensor, SortPreservesEntryAssociations) {
     }
   }
   EXPECT_TRUE(found);
+}
+
+TEST(SortByKeyOrder, ValidatesPermutation) {
+  CooTensor t({4, 4});
+  t.push({0, 0}, 1.0f);
+  const std::array<order_t, 2> dup = {0, 0};
+  EXPECT_THROW(t.sort_by_key_order(dup), Error);
+  const std::array<order_t, 1> incomplete = {0};
+  EXPECT_THROW(t.sort_by_key_order(incomplete), Error);
 }
 
 TEST(CooTensor, CoalesceSumsDuplicates) {

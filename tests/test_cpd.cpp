@@ -155,12 +155,6 @@ TEST(Cpd, PredictValidatesCoordinates) {
   EXPECT_THROW(cpd_predict(res, wrong_arity), Error);
 }
 
-TEST(Cpd, BackendNames) {
-  EXPECT_STREQ(cpd_backend_name(CpdBackend::Reference), "Reference");
-  EXPECT_STREQ(cpd_backend_name(CpdBackend::ParTI), "ParTI");
-  EXPECT_STREQ(cpd_backend_name(CpdBackend::ScalFrag), "ScalFrag");
-}
-
 TEST(Cpd, NonnegativeProjectionKeepsFactorsNonnegative) {
   const CooTensor t = planted_low_rank({16, 16, 16}, 2, 8, 111);
   const CpdResult res = cpd_als(

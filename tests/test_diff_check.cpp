@@ -42,8 +42,8 @@ TEST(DiffCheck, TableCoversEveryPathFamily) {
     return false;
   };
   for (const char* family :
-       {"coo_ref", "coo_par", "csf", "bcsf", "hicoo", "fcoo", "parti",
-        "pipeline", "hybrid"}) {
+       {"coo_ref", "coo_par", "csf", "hicoo", "fcoo", "parti", "pipeline",
+        "hybrid"}) {
     EXPECT_TRUE(has(family)) << family << " missing from the table";
   }
 }

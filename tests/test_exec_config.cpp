@@ -1,12 +1,13 @@
 // ExecConfig tests: the unified driver configuration — builder
-// coverage, validation, the HostExecParams bridge — and proof that the
-// deprecated legacy structs are pure shims (bit-identical execution
-// through either surface).
+// coverage, validation, the HostExecParams bridge, and the pinned
+// decomposition defaults.
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <vector>
 
+#include "common/rng.hpp"
 #include "scalfrag/cpd.hpp"
 #include "scalfrag/exec_config.hpp"
 #include "scalfrag/multi_pipeline.hpp"
@@ -19,18 +20,6 @@ namespace scalfrag {
 namespace {
 
 const gpusim::DeviceSpec kSpec = gpusim::DeviceSpec::rtx3090();
-
-FactorList random_factors(const CooTensor& t, index_t rank,
-                          std::uint64_t seed) {
-  Rng rng(seed);
-  FactorList f;
-  for (order_t m = 0; m < t.order(); ++m) {
-    DenseMatrix a(t.dim(m), rank);
-    a.randomize(rng);
-    f.push_back(std::move(a));
-  }
-  return f;
-}
 
 TEST(ExecConfig, BuildersMapOntoFields) {
   obs::MetricsRegistry met;
@@ -90,111 +79,75 @@ TEST(ExecConfig, HostForRunDefaultsTheMetricsSink) {
   EXPECT_EQ(ExecConfig{}.host_for_run().metrics, nullptr);
 }
 
-// The whole point of the shims: legacy code paths must produce the
-// exact same execution, not an approximation. The simulator is
-// deterministic, so "same config" means bit-identical outputs and
-// identical simulated timelines.
-TEST(ExecConfig, LegacyHostExecOptionsAliasIsTheSameType) {
-  CooTensor t = make_frostt_tensor("uber", 1.0 / 2048, 703);
-  t.sort_by_mode(0);
-  const auto f = random_factors(t, 8, 704);
+// Unset decomposition knobs resolve to fixed driver defaults, and
+// committed outputs depend on them: a default ExecConfig must be the
+// same run, bit for bit, as one that spells the defaults out (CPD
+// rank 16, 10 iterations, tol 1e-4, seed 5; Tucker 15 iterations,
+// tol 1e-5, seed 7). Each input makes the run depend on the knob it
+// covers, so changing any default fails the comparison.
+TEST(ExecConfig, DefaultDecompositionKnobsArePinned) {
+  const auto expect_same_cpd = [](const CooTensor& x, int* iterations) {
+    gpusim::SimDevice dev(kSpec);
+    gpusim::SimDevice dev2(kSpec);
+    const CpdResult a = cpd_als(x, ExecConfig{}, &dev);
+    const CpdResult b = cpd_als(
+        x, ExecConfig{}.rank(16).max_iters(10).tol(1e-4).seed(5), &dev2);
+    *iterations = a.iterations;
+    EXPECT_EQ(a.iterations, b.iterations);
+    EXPECT_EQ(a.mttkrp_sim_ns, b.mttkrp_sim_ns);
+    EXPECT_EQ(a.fit_history, b.fit_history);
+    EXPECT_EQ(a.lambda, b.lambda);
+    ASSERT_EQ(a.factors.size(), b.factors.size());
+    for (std::size_t m = 0; m < a.factors.size(); ++m) {
+      ASSERT_EQ(a.factors[m].cols(), 16u);
+      EXPECT_EQ(std::memcmp(a.factors[m].data(), b.factors[m].data(),
+                            a.factors[m].size() * sizeof(value_t)),
+                0)
+          << "factor " << m;
+    }
+  };
+  // A sparse sample fits slowly and runs every iteration (covers the
+  // iteration cap and the seed); two disjoint dense rank-1 blocks fit
+  // almost exactly and stop on the tolerance first (covers tol).
+  int iterations = 0;
+  expect_same_cpd(make_frostt_tensor("nips", 1.0 / 2048, 706), &iterations);
+  EXPECT_EQ(iterations, 10);
+  CooTensor blocks({24, 24, 24});
+  Rng rng(1);
+  for (index_t b = 0; b < 2; ++b) {
+    std::vector<double> u[3];
+    for (auto& v : u) {
+      v.resize(6);
+      for (auto& e : v) e = 0.25 + rng.next_double();
+    }
+    for (index_t i = 0; i < 6; ++i) {
+      for (index_t j = 0; j < 6; ++j) {
+        for (index_t k = 0; k < 6; ++k) {
+          blocks.push({6 * b + i, 6 * b + j, 6 * b + k},
+                      static_cast<value_t>(u[0][i] * u[1][j] * u[2][k]));
+        }
+      }
+    }
+  }
+  expect_same_cpd(blocks, &iterations);
+  EXPECT_LT(iterations, 10);
 
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  HostExecOptions legacy;
-  legacy.strategy = HostStrategy::Serial;
-  static_assert(std::is_same_v<HostExecOptions, HostExecParams>);
-#pragma GCC diagnostic pop
-  HostExecParams params;
-  params.strategy = HostStrategy::Serial;
-
-  const DenseMatrix a = mttkrp_coo_par(CooSpan(t), f, 0, legacy);
-  const DenseMatrix b = mttkrp_coo_par(CooSpan(t), f, 0, params);
-  EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(value_t)), 0);
-}
-
-// CpdOptions is now a pure conversion shim: driving cpd_als through
-// the legacy struct and through the equivalent ExecConfig builders
-// must be the same run, bit for bit (factors, weights, fit, timeline).
-TEST(ExecConfig, LegacyCpdOptionsShimIsBitIdentical) {
-  const CooTensor x = make_frostt_tensor("nips", 1.0 / 2048, 706);
-  gpusim::SimDevice dev(kSpec);
-
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  CpdOptions legacy;
-  legacy.rank = 6;
-  legacy.max_iters = 4;
-  legacy.tol = 0.0;  // legacy "run every iteration" spelling
-  legacy.seed = 9;
-  legacy.backend = CpdBackend::ScalFrag;
-  legacy.nonnegative = true;
-  const ExecConfig converted = legacy;
-#pragma GCC diagnostic pop
-
-  const ExecConfig direct = ExecConfig{}
-                                .backend("coo")
-                                .rank(6)
-                                .max_iters(4)
-                                .tol(0.0)
-                                .seed(9)
-                                .nonneg();
-
-  gpusim::SimDevice dev2(kSpec);
-  const CpdResult a = cpd_als(x, converted, &dev);
-  const CpdResult b = cpd_als(x, direct, &dev2);
-  EXPECT_EQ(a.iterations, b.iterations);
-  EXPECT_EQ(a.iterations, 4);  // tol 0 disables the early stop
-  EXPECT_EQ(a.mttkrp_sim_ns, b.mttkrp_sim_ns);
-  EXPECT_DOUBLE_EQ(a.final_fit, b.final_fit);
-  ASSERT_EQ(a.factors.size(), b.factors.size());
-  for (std::size_t m = 0; m < a.factors.size(); ++m) {
-    EXPECT_EQ(std::memcmp(a.factors[m].data(), b.factors[m].data(),
-                          a.factors[m].size() * sizeof(value_t)),
+  const CooTensor y = make_frostt_tensor("uber", 1.0 / 2048, 707);
+  const auto core = ExecConfig{}.core_dims({2, 2, 2, 2});
+  const TuckerResult c = tucker_hooi(y, core);
+  const TuckerResult d =
+      tucker_hooi(y, ExecConfig{core}.max_iters(15).tol(1e-5).seed(7));
+  EXPECT_EQ(c.iterations, d.iterations);
+  EXPECT_EQ(c.fit_history, d.fit_history);
+  ASSERT_EQ(c.factors.size(), d.factors.size());
+  for (std::size_t m = 0; m < c.factors.size(); ++m) {
+    EXPECT_EQ(std::memcmp(c.factors[m].data(), d.factors[m].data(),
+                          c.factors[m].size() * sizeof(value_t)),
               0)
         << "factor " << m;
   }
-  EXPECT_EQ(a.lambda, b.lambda);
-
-  // Unset decomposition knobs resolve to the legacy defaults, so a
-  // default-constructed ExecConfig reproduces a default CpdOptions run.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  const ExecConfig legacy_defaults = CpdOptions{};
-#pragma GCC diagnostic pop
-  EXPECT_EQ(legacy_defaults.decomp_seed, 5u);
-  EXPECT_DOUBLE_EQ(legacy_defaults.decomp_tol, 1e-4);
-}
-
-TEST(ExecConfig, LegacyTuckerOptionsShimIsBitIdentical) {
-  const CooTensor x = make_frostt_tensor("uber", 1.0 / 2048, 707);
-
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  TuckerOptions legacy;
-  legacy.core_dims = {2, 2, 2, 2};
-  legacy.max_iters = 3;
-  legacy.tol = 0.0;
-  legacy.seed = 13;
-  const ExecConfig converted = legacy;
-#pragma GCC diagnostic pop
-
-  const ExecConfig direct =
-      ExecConfig{}.core_dims({2, 2, 2, 2}).max_iters(3).tol(0.0).seed(13);
-
-  const TuckerResult a = tucker_hooi(x, converted);
-  const TuckerResult b = tucker_hooi(x, direct);
-  EXPECT_EQ(a.iterations, b.iterations);
-  EXPECT_DOUBLE_EQ(a.final_fit, b.final_fit);
-  ASSERT_EQ(a.factors.size(), b.factors.size());
-  for (std::size_t m = 0; m < a.factors.size(); ++m) {
-    EXPECT_EQ(std::memcmp(a.factors[m].data(), b.factors[m].data(),
-                          a.factors[m].size() * sizeof(value_t)),
-              0)
-        << "factor " << m;
-  }
-  EXPECT_EQ(std::memcmp(a.core.data(), b.core.data(),
-                        a.core.size() * sizeof(value_t)),
+  EXPECT_EQ(std::memcmp(c.core.data(), d.core.data(),
+                        c.core.size() * sizeof(value_t)),
             0);
 }
 

@@ -224,6 +224,44 @@ TEST(Metrics, KnownValues) {
 
 // All model kinds must at least learn the step function decently —
 // a parameterized smoke property over the whole model zoo.
+/// y = 4·x0 plus mild noise; x1 and x2 carry no signal.
+Dataset linearish_data(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  Dataset d(3);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double a = rng.uniform(0, 1), b = rng.uniform(0, 1),
+                 c = rng.uniform(0, 1);
+    const double row[3] = {a, b, c};
+    d.add(row, 4.0 * a + 0.02 * rng.normal());
+  }
+  return d;
+}
+
+TEST(FeatureImportance, ConcentratesOnInformativeFeature) {
+  const Dataset d = linearish_data(500, 5);
+  DecisionTreeRegressor tree;
+  tree.fit(d);
+  const auto& imp = tree.feature_importance();
+  ASSERT_EQ(imp.size(), 3u);
+  double sum = 0.0;
+  for (double g : imp) {
+    EXPECT_GE(g, 0.0);
+    sum += g;
+  }
+  EXPECT_NEAR(sum, 1.0, 1e-9);
+  EXPECT_GT(imp[0], 0.9);  // the only signal-bearing feature
+}
+
+TEST(FeatureImportance, SingleLeafIsAllZero) {
+  Dataset d(2);
+  const double r[2] = {1.0, 2.0};
+  d.add(r, 5.0);
+  d.add(r, 5.0);
+  DecisionTreeRegressor tree;
+  tree.fit(d);
+  for (double g : tree.feature_importance()) EXPECT_DOUBLE_EQ(g, 0.0);
+}
+
 class AnyModelLearns : public ::testing::TestWithParam<int> {};
 
 TEST_P(AnyModelLearns, StepFunctionRmseBelowMeanModel) {

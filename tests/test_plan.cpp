@@ -8,7 +8,6 @@
 #include <cstring>
 #include <optional>
 
-#include "parti/parti_executor.hpp"
 #include "scalfrag/cpd.hpp"
 #include "scalfrag/plan.hpp"
 #include "tensor/generator.hpp"
@@ -217,26 +216,6 @@ TEST(MttkrpPlan, RejectsMultiDeviceConfigs) {
   const CooTensor t = make_frostt_tensor("uber", 1.0 / 2048, 511);
   EXPECT_THROW(MttkrpPlan(t, 8, dev, nullptr, ExecConfig{}.devices(2)),
                Error);
-}
-
-TEST(Spttm, SimulatedExecutorMatchesHostKernel) {
-  gpusim::SimDevice dev(kSpec);
-  const CooTensor t = make_frostt_tensor("nips", 1.0 / 4096, 507);
-  Rng rng(508);
-  DenseMatrix u(t.dim(1), 8);
-  u.randomize(rng);
-
-  const auto res = parti::run_spttm(dev, t, u, 1);
-  const SemiSparseTensor expect = spttm(t, u, 1);
-  ASSERT_EQ(res.output.num_fibers(), expect.num_fibers());
-  EXPECT_LT(DenseMatrix::max_abs_diff(res.output.values, expect.values),
-            2e-3);
-  // Synchronous flow: transfers + kernel, no overlap.
-  EXPECT_EQ(res.breakdown.overlap_saved(), 0u);
-  EXPECT_GT(res.breakdown.kernel, 0u);
-  EXPECT_GT(res.breakdown.h2d, 0u);
-  EXPECT_GT(res.breakdown.d2h, 0u);
-  EXPECT_EQ(dev.allocator().used(), 0u);
 }
 
 }  // namespace
